@@ -1,11 +1,13 @@
 """Initialized ACM divisor classes: criterion, exhaustive enumeration, orbits, tables.
 
-The numerical criterion is D = 0 or (D^2 = D.H - 2 and 0 < D.H <= H^2);
-such nonzero classes are rational normal curves of degree D.H.  Enumeration
-scans a proven-complete coefficient box and expands multiplicity multisets
-into all distinct permutations; the closed-form catalog regenerates the
-same classes from the explicit five-row table plus the zero and exceptional
-classes, giving an independent oracle.
+The numerical criterion is D = 0 or (D^2 = D.H - 2 and 0 < D.H <= H^2),
+stated once in :func:`is_acm_initialized`; such nonzero classes are
+rational normal curves of degree D.H.  Enumeration scans one coefficient
+box on every surface, as a leading coefficient times a sorted tail, checks
+that a wider box holds no further hits, and expands each tail into all its
+distinct permutations; the closed-form catalog regenerates the same classes
+from the explicit five-row table plus the zero and exceptional classes,
+giving an independent oracle.
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 from .errors import InternalError, PreconditionViolated, SurfaceMismatch, UnsupportedSurface
 from .geometry import is_effective
@@ -32,139 +34,88 @@ from .picard import (
     zero_class,
 )
 
-# Enumeration box: 0 < a < 6 for non-exceptional classes, multiplicities in
-# [-1, 3] (b = -1 only for exceptional divisors, b <= 2 in every table row,
-# b = 3 excluded by the completeness argument).  The wider box is scanned as
-# a guard and must contain no additional hits.
-A_BOX = range(0, 6)
-B_BOX = range(-1, 4)
-WIDE_A_BOX = range(-1, 7)
-WIDE_B_BOX = range(-2, 5)
-QUADRIC_BOX = range(0, 5)
-WIDE_QUADRIC_BOX = range(-1, 6)
+# Enumeration boxes, in stored coefficients: (leading range, tail range), the
+# primary box first, then the wider guard box.  A class is its leading
+# coefficient (l or h) followed by a tail (e1..er or m).  On blow-ups the tail
+# holds the negated multiplicities b_i in [-1, 3] (b = -1 only for
+# exceptional divisors, b <= 2 in every table row, b = 3 excluded by the
+# completeness argument) and 0 <= a <= 5.  The wider box is scanned as a
+# guard and must contain no additional hits.
+BOXES = {
+    BLOWUP: ((range(0, 6), range(-3, 2)), (range(-1, 7), range(-4, 3))),
+    QUADRIC: ((range(0, 5), range(0, 5)), (range(-1, 6), range(-1, 6))),
+}
+
+
+def _criterion(surface: SurfaceModel, coeffs: tuple[int, ...]) -> bool:
+    d_h = sum(map(mul, coeffs, surface.degree_vector))
+    if 0 < d_h <= surface.degree:
+        return surface.pair(coeffs, coeffs) == d_h - 2
+    return not any(coeffs)
 
 
 def is_acm_initialized(D: DivisorClass) -> bool:
-    """Numerical test for an initialized ACM class (either surface kind)."""
-    if D.is_zero:
-        return True
-    d_h = degree(D)
-    return self_intersection(D) == d_h - 2 and 0 < d_h <= D.surface.degree
-
-
-def is_acm_initialized_quadric(D: DivisorClass) -> bool:
-    """Quadric specialization: D = 0 or (a-1)(b-1) = 0 with 0 < 2a+2b <= 8."""
-    if D.surface.kind != QUADRIC:
-        raise SurfaceMismatch(f"quadric criterion applied to a class on {D.surface}")
-    a, b = D.coeffs
-    if a == 0 and b == 0:
-        return True
-    return (a - 1) * (b - 1) == 0 and 0 < 2 * a + 2 * b <= 8
+    """Numerical test for an initialized ACM class: D = 0 or
+    (D^2 = D.H - 2 and 0 < D.H <= H^2)."""
+    return _criterion(D.surface, D.coeffs)
 
 
 # ---------------------------------------------------------------------------
 # enumeration
 
 
-def _criterion_raw(a: int, b: tuple[int, ...], surface_degree: int) -> bool:
-    s1 = sum(b)
-    d_h = 3 * a - s1
-    return a * a - sum(x * x for x in b) == d_h - 2 and 0 < d_h <= surface_degree
-
-
-def _blowup_hits(r: int, a: int, b_box: range) -> list[tuple[int, tuple[int, ...]]]:
-    """Criterion hits with non-increasing multiplicity vector, for one a."""
-    n = 9 - r
-    values = sorted(b_box, reverse=True)
-    return [
-        (a, b)
-        for b in itertools.combinations_with_replacement(values, r)
-        if _criterion_raw(a, b, n)
-    ]
-
-
 def sort_key(D: DivisorClass) -> tuple:
-    """Stable output order: degree, canonical writing, then the full vector."""
-    if D.surface.kind == QUADRIC:
-        canonical = tuple(sorted(D.coeffs, reverse=True))
-    else:
-        canonical = (D.coeffs[0],) + tuple(sorted(multiplicities(D), reverse=True))
+    """Stable output order: degree, canonical writing, then the full vector.
+
+    The canonical writing is the leading coefficient followed by the negated
+    tail sorted in non-increasing order (the multiplicities on blow-ups).
+    """
+    canonical = (D.coeffs[0],) + tuple(sorted((-c for c in D.coeffs[1:]), reverse=True))
     return (degree(D), canonical, D.coeffs)
 
 
-def _expand(surface: SurfaceModel, a: int, b: tuple[int, ...]) -> list[DivisorClass]:
+def _expand(surface: SurfaceModel, a: int, tail: tuple[int, ...]) -> list[DivisorClass]:
+    # decreasing tails are increasing multiplicity vectors on blow-ups
+    perms = sorted(set(itertools.permutations(tail)), reverse=True)
+    return [DivisorClass(surface, (a,) + perm) for perm in perms]
+
+
+def _scan(surface: SurfaceModel, lead: range, tail: range) -> list[tuple[int, tuple[int, ...]]]:
+    """Criterion hits (leading coefficient, sorted tail) in a box.
+
+    Permuting the tail preserves the criterion (the quadric's tail has one
+    entry), so only sorted tails are tested.
+    """
     return [
-        from_multiplicities(surface, a, perm)
-        for perm in sorted(set(itertools.permutations(b)))
+        (a, t)
+        for a in lead
+        for t in itertools.combinations_with_replacement(tail, surface.rank - 1)
+        if _criterion(surface, (a,) + t)
     ]
 
 
-def _enumerate_slice(surface: SurfaceModel, a: int) -> list[DivisorClass]:
-    if surface.kind == QUADRIC:
-        return [
-            DivisorClass(surface, (a, b))
-            for b in QUADRIC_BOX
-            if 2 * a * b == (2 * a + 2 * b) - 2 and 0 < 2 * a + 2 * b <= 8
-        ]
-    return [
-        cls
-        for a_, b in _blowup_hits(surface.r, a, B_BOX)
-        for cls in _expand(surface, a_, b)
-    ]
-
-
-@lru_cache(maxsize=None)
-def _box_guard(surface: SurfaceModel) -> None:
-    """Assert the widened box contributes no hits outside the primary box."""
-    if surface.kind == QUADRIC:
-        extra = [
-            (a, b)
-            for a in WIDE_QUADRIC_BOX
-            for b in WIDE_QUADRIC_BOX
-            if 2 * a * b == (2 * a + 2 * b) - 2
-            and 0 < 2 * a + 2 * b <= 8
-            and not (a in QUADRIC_BOX and b in QUADRIC_BOX)
-        ]
-    else:
-        extra = [
-            (a, b)
-            for a in WIDE_A_BOX
-            for a_, b in _blowup_hits(surface.r, a, WIDE_B_BOX)
-            if not (a in A_BOX and all(x in B_BOX for x in b))
-        ]
+def _box_guard(
+    surface: SurfaceModel, hits: list[tuple[int, tuple[int, ...]]], lead: range, tail: range
+) -> None:
+    """Raise if the wide-box hits include one outside the primary box."""
+    extra = [(a, t) for a, t in hits if a not in lead or any(x not in tail for x in t)]
     if extra:
         raise InternalError(f"criterion hits outside the enumeration box on {surface}: {extra}")
 
 
 @lru_cache(maxsize=None)
 def _enumerate_cached(surface: SurfaceModel) -> tuple[DivisorClass, ...]:
-    _box_guard(surface)
-    slices = QUADRIC_BOX if surface.kind == QUADRIC else A_BOX
-    hits = [zero_class(surface)]
-    for a in slices:
-        hits.extend(_enumerate_slice(surface, a))
-    hits.sort(key=sort_key)
-    if len(set(hits)) != len(hits):
+    primary, wide = BOXES[surface.kind]
+    hits = _scan(surface, *wide)
+    _box_guard(surface, hits, *primary)
+    classes = sorted((D for a, t in hits for D in _expand(surface, a, t)), key=sort_key)
+    if len(set(classes)) != len(classes):
         raise InternalError(f"duplicate classes enumerated on {surface}")
-    return tuple(hits)
+    return tuple(classes)
 
 
-def enumerate_acm(surface: SurfaceModel, threads: int | None = None) -> list[DivisorClass]:
-    """Every initialized ACM class on the surface, in the canonical order.
-
-    ``threads`` > 1 partitions the scan over the leading coefficient; the
-    merged, re-sorted result is identical to the sequential one.
-    """
-    if threads is not None and threads > 1:
-        _box_guard(surface)
-        slices = list(QUADRIC_BOX if surface.kind == QUADRIC else A_BOX)
-        with ThreadPoolExecutor(max_workers=min(threads, len(slices))) as pool:
-            parts = list(pool.map(lambda a: _enumerate_slice(surface, a), slices))
-        hits = [zero_class(surface)]
-        for part in parts:
-            hits.extend(part)
-        hits.sort(key=sort_key)
-        return hits
+def enumerate_acm(surface: SurfaceModel) -> list[DivisorClass]:
+    """Every initialized ACM class on the surface, in the canonical order."""
     return list(_enumerate_cached(surface))
 
 
@@ -244,7 +195,7 @@ def expand_orbit(record: AcmRecord) -> list[DivisorClass]:
     """All distinct classes obtained by permuting the exceptional divisors."""
     surface = record.canonical.surface
     a = record.canonical.coeffs[0]
-    return _expand(surface, a, multiplicities(record.canonical))
+    return _expand(surface, a, record.canonical.coeffs[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +249,7 @@ def closed_form_quadric(surface: SurfaceModel) -> list[DivisorClass]:
 
 def degree_count_table(surface: SurfaceModel) -> dict[int, int]:
     """Number of ACM classes per degree (orbit-expanded); absent degrees are 0."""
-    counts = Counter(degree(D) for D in _enumerate_cached(surface))
+    counts = Counter(degree(D) for D in enumerate_acm(surface))
     return dict(sorted(counts.items()))
 
 

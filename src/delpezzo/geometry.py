@@ -1,10 +1,10 @@
 """(-1)-lines of a strong del Pezzo surface and the positivity tests built on them.
 
-Covers: complete line enumeration, effectivity (closed forms on the plane,
-the one-point blow-up and the quadric; line-monoid membership for r >= 2),
-very-ampleness, existence of smooth members without line components, and
-the alternative basis D_0..D_r of the Picard lattice with its divisor
-decomposition.
+Covers: complete line enumeration, the generators of the effective cone,
+effectivity (one nef-reduction loop over those generators on every
+surface), very-ampleness, existence of smooth members without line
+components, and the alternative basis D_0..D_r of the Picard lattice with
+its divisor decomposition.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from .picard import (
     SurfaceModel,
     canonical_class,
     degree,
-    divisor,
     intersect,
+    self_intersection,
 )
 
 
@@ -32,12 +32,6 @@ class LineClass:
 
     label: str
     divisor: DivisorClass
-
-
-def _unit(surface: SurfaceModel, index: int) -> DivisorClass:
-    vec = [0] * surface.rank
-    vec[index] = 1
-    return DivisorClass(surface, tuple(vec))
 
 
 @lru_cache(maxsize=None)
@@ -50,8 +44,7 @@ def enumerate_lines(surface: SurfaceModel) -> tuple[LineClass, ...]:
     if surface.kind == QUADRIC or surface.r == 0:
         return ()
     r = surface.r
-    l = _unit(surface, 0)
-    e = [_unit(surface, i) for i in range(1, r + 1)]
+    l, *e = surface.units
     lines = [LineClass(f"E{i + 1}", e[i]) for i in range(r)]
     for i, j in itertools.combinations(range(r), 2):
         lines.append(LineClass(f"F{i + 1}{j + 1}", l - e[i] - e[j]))
@@ -67,65 +60,46 @@ def enumerate_lines(surface: SurfaceModel) -> tuple[LineClass, ...]:
     return tuple(lines)
 
 
+@lru_cache(maxsize=None)
+def cone_generators(surface: SurfaceModel) -> tuple[DivisorClass, ...]:
+    """Generators of the effective cone: l on X0, e1 and l-e1 on X1, h and m
+    on the quadric, the (-1)-lines for r >= 2."""
+    if surface.kind == QUADRIC or surface.r == 0:
+        return surface.units
+    if surface.r == 1:
+        l, e1 = surface.units
+        return (e1, l - e1)
+    return tuple(L.divisor for L in enumerate_lines(surface))
+
+
 # ---------------------------------------------------------------------------
 # effectivity
 
 
 def is_effective(D: DivisorClass) -> bool:
-    """Whether the class contains an effective divisor.
+    """Whether the class contains an effective divisor, by nef reduction.
 
-    Closed forms: quadric a,b >= 0; plane a >= 0; X1 requires D.f >= 0 and
-    D.l >= 0.  For r >= 2 the effective monoid is generated by the
-    (-1)-lines, so membership is decided by a bounded exhaustive search for
-    a nonnegative integer combination of line classes summing to D (every
-    generator has degree 1, so coefficients are bounded by deg D).
+    While deg D >= 0 and some generator N with N^2 < 0 (an irreducible
+    curve) has D.N = -k < 0, replace D by D - kN: every member of |D|
+    contains N with multiplicity at least k, so kN is a fixed component and
+    D is effective exactly when D - kN is.  Each step lowers the degree by
+    k >= 1, so the loop ends.  Then D is effective iff deg D >= 0 and D.G >= 0
+    for every generator G.  If so, D is nef, because the generators span the
+    effective cone; a nef class has h^2 = h^0(K - D) = 0, since
+    (K - D).H < 0, and chi(D) = D.(D - K)/2 + 1 >= 1, so h^0(D) >= 1.
+    If not, D meets a generator G with G^2 >= 0 negatively; such a G is nef,
+    so D is not effective.
     """
-    surface = D.surface
-    if surface.kind == QUADRIC:
-        return D.coeffs[0] >= 0 and D.coeffs[1] >= 0
-    if surface.r == 0:
-        return D.coeffs[0] >= 0
-    if surface.r == 1:
-        a, c1 = D.coeffs
-        return a >= 0 and a + c1 >= 0  # D.l >= 0 and D.f >= 0
-    return _line_monoid_member(D)
-
-
-def _line_monoid_member(D: DivisorClass) -> bool:
-    if degree(D) < 0:
-        return False
-    if D.is_zero:
-        return True
-    # Generators with positive l-coefficient consume the l-coordinate; once
-    # they are fixed the e_i coefficients of the combination are forced, so
-    # only conics and F-lines are branched on.
-    consuming = [
-        L.divisor.coeffs
-        for L in enumerate_lines(D.surface)
-        if L.divisor.coeffs[0] > 0
-    ]
-    consuming.sort(key=lambda v: -v[0])
-    failed: set[tuple[int, tuple[int, ...]]] = set()
-
-    def search(idx: int, rest: tuple[int, ...]) -> bool:
-        a = rest[0]
-        if a < 0:
-            return False
-        if idx == len(consuming):
-            # remainder must be a nonnegative sum of exceptional classes
-            return a == 0 and all(c >= 0 for c in rest[1:])
-        key = (idx, rest)
-        if key in failed:
-            return False
-        vec = consuming[idx]
-        for n in range(a // vec[0], -1, -1):
-            nxt = tuple(x - n * v for x, v in zip(rest, vec))
-            if search(idx + 1, nxt):
-                return True
-        failed.add(key)
-        return False
-
-    return search(0, D.coeffs)
+    generators = cone_generators(D.surface)
+    while degree(D) >= 0:
+        for N in generators:
+            k = -intersect(D, N)
+            if k > 0 and self_intersection(N) < 0:
+                D = D - k * N
+                break
+        else:
+            return all(intersect(D, G) >= 0 for G in generators)
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -133,17 +107,13 @@ def _line_monoid_member(D: DivisorClass) -> bool:
 
 
 def is_very_ample(D: DivisorClass) -> bool:
-    """Positivity against every (-1)-line; on X1, against e1 and l-e1."""
+    """Positivity against every generator of the effective cone (blow-ups of 1..6 points)."""
     surface = D.surface
     if surface.kind != BLOWUP or surface.r == 0:
         raise UnsupportedSurface(
             f"the very-ampleness criterion is stated only for blow-ups of 1..6 points, not {surface}"
         )
-    if surface.r == 1:
-        e1 = _unit(surface, 1)
-        f = divisor(surface, 1, -1)
-        return intersect(D, e1) > 0 and intersect(D, f) > 0
-    return all(intersect(D, L.divisor) > 0 for L in enumerate_lines(surface))
+    return all(intersect(D, G) > 0 for G in cone_generators(surface))
 
 
 def has_smooth_nonline_member(D: DivisorClass) -> bool:
@@ -179,9 +149,8 @@ def alternative_base(surface: SurfaceModel) -> tuple[DivisorClass, ...]:
     """The base-point-free basis D_0 = l, D_1 = l-e1, ..., D_r of Pic."""
     if surface.kind != BLOWUP or not 2 <= surface.r <= 6:
         raise UnsupportedSurface(f"alternative base needs a blow-up of 2..6 points, not {surface}")
-    l = _unit(surface, 0)
-    e = tuple(_unit(surface, i) for i in range(1, surface.r + 1))
-    return tuple(_base_divisor(l, e, k) for k in range(surface.r + 1))
+    l, *e = surface.units
+    return tuple(_base_divisor(l, tuple(e), k) for k in range(surface.r + 1))
 
 
 @dataclass(frozen=True)
@@ -223,7 +192,7 @@ class BaseDecomposition:
     def permutation(self) -> tuple[int, ...] | None:
         """1-based relabeling of the standard e_i, when the frame is one."""
         surface = self.exceptional[0].surface
-        standard = [_unit(surface, i) for i in range(1, surface.r + 1)]
+        standard = list(surface.units[1:])
         perm = []
         for ec in self.exceptional:
             if ec not in standard:
@@ -259,7 +228,7 @@ def decompose(D: DivisorClass) -> BaseDecomposition:
         raise UnsupportedSurface(f"decomposition needs a blow-up of 2..6 points, not {surface}")
     r = surface.r
     if r <= 4:
-        standard = [_unit(surface, i) for i in range(1, r + 1)]
+        standard = surface.units[1:]
         order = sorted(range(r), key=lambda i: (-intersect(D, standard[i]), i))
         frame = tuple(standard[i] for i in order)
     else:

@@ -15,9 +15,11 @@ text formatter, which prints ``3l-2e1-e2`` style strings.
 
 from __future__ import annotations
 
+import functools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from .errors import DivisorParseError, InternalError, SurfaceMismatch
 
@@ -30,48 +32,85 @@ SURFACE_NAMES = ("X0", "X1", "X2", "X3", "X4", "X5", "X6", "Q")
 
 @dataclass(frozen=True)
 class SurfaceModel:
-    """A strong del Pezzo surface: ``BlowUp`` of r points or the quadric."""
+    """A strong del Pezzo surface (``BlowUp`` of r points or the quadric) and its lattice.
+
+    ``kind`` and ``r`` name the surface.  Everything else is derived from them
+    once, when the model is built, and every lattice operation reads it here:
+
+    * ``gram``: the nonzero entries ``(i, j, value)`` of the Gram matrix in
+      the standard basis, one per coordinate: ``l^2 = 1`` and ``e_i^2 = -1``
+      on blow-ups, ``h.m = m.h = 1`` on the quadric;
+    * ``units``: the basis classes, (l, e1, ..., er) or (h, m);
+    * ``canonical`` and ``hyperplane``: the classes K and H = -K;
+    * ``degree_vector``: the coefficients of the functional D -> D.H,
+      ``(3, 1, ..., 1)`` on blow-ups and ``(2, 2)`` on the quadric;
+    * ``degree`` (H^2), ``rank``, ``name``, ``basis`` (the basis symbols) and
+      ``symbols`` (every symbol of the divisor text grammar, with its vector).
+    """
 
     kind: str
     r: int | None = None
+    rank: int = field(init=False, repr=False, compare=False)
+    name: str = field(init=False, repr=False, compare=False)
+    basis: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    symbols: dict[str, tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    gram: tuple[tuple[int, int, int], ...] = field(init=False, repr=False, compare=False)
+    units: tuple[DivisorClass, ...] = field(init=False, repr=False, compare=False)
+    canonical: DivisorClass = field(init=False, repr=False, compare=False)
+    hyperplane: DivisorClass = field(init=False, repr=False, compare=False)
+    degree_vector: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    degree: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind == BLOWUP:
             if self.r is None or not 0 <= self.r <= 6:
                 raise ValueError(f"blow-up point count must be 0..6, got {self.r}")
+            rank, name = self.r + 1, f"X{self.r}"
+            basis = ("l",) + tuple(f"e{i}" for i in range(1, rank))
+            gram = ((0, 0, 1),) + tuple((i, i, -1) for i in range(1, rank))
+            canonical = (-3,) + (1,) * self.r
         elif self.kind == QUADRIC:
             if self.r is not None:
                 raise ValueError("the quadric has no blow-up point count")
+            rank, name, basis = 2, "Q", ("h", "m")
+            gram = ((0, 1, 1), (1, 0, 1))
+            canonical = (-2, -2)
         else:
             raise ValueError(f"unknown surface kind {self.kind!r}")
+        vectors = [tuple(int(i == k) for i in range(rank)) for k in range(rank)]
+        symbols = dict(zip(basis, vectors))
+        if self.r == 1:  # section/fibre basis of the one-point blow-up
+            symbols.update(C0=(0, 1), f=(1, -1))
+        put = functools.partial(object.__setattr__, self)
+        put("rank", rank)
+        put("name", name)
+        put("basis", basis)
+        put("symbols", symbols)
+        put("gram", gram)
+        put("units", tuple(DivisorClass(self, v) for v in vectors))
+        put("canonical", DivisorClass(self, canonical))
+        put("hyperplane", -self.canonical)
+        H = self.hyperplane.coeffs
+        put("degree_vector", tuple(self.pair(v, H) for v in vectors))
+        put("degree", self.pair(H, H))
 
-    @property
-    def degree(self) -> int:
-        """Anticanonical self-intersection H^2: 9 - r for blow-ups, 8 for P1xP1."""
-        return 8 if self.kind == QUADRIC else 9 - self.r
-
-    @property
-    def rank(self) -> int:
-        """Rank of the Picard lattice."""
-        return 2 if self.kind == QUADRIC else self.r + 1
-
-    @property
-    def name(self) -> str:
-        return "Q" if self.kind == QUADRIC else f"X{self.r}"
-
-    def basis_symbols(self) -> tuple[str, ...]:
-        if self.kind == QUADRIC:
-            return ("h", "m")
-        return ("l",) + tuple(f"e{i}" for i in range(1, self.r + 1))
+    def pair(self, u: tuple[int, ...], v: tuple[int, ...]) -> int:
+        """Intersection number of two coefficient vectors, in O(rank)."""
+        total = 0
+        for i, j, value in self.gram:
+            total += value * u[i] * v[j]
+        return total
 
     def __str__(self) -> str:
         return self.name
 
 
+@functools.lru_cache(maxsize=None)
 def blow_up(r: int) -> SurfaceModel:
     return SurfaceModel(BLOWUP, r)
 
 
+@functools.lru_cache(maxsize=None)
 def quadric() -> SurfaceModel:
     return SurfaceModel(QUADRIC)
 
@@ -164,32 +203,24 @@ def multiplicities(D: DivisorClass) -> tuple[int, ...]:
 
 
 def intersect(D: DivisorClass, E: DivisorClass) -> int:
-    """Intersection number of two classes on the same surface.
-
-    Blow-up basis: l^2 = 1, e_i^2 = -1, mixed products 0.  Quadric basis:
-    h^2 = m^2 = 0, h.m = 1 (the unique form giving deg(a*h+b*m) = 2a+2b).
-    """
+    """Intersection number of two classes on the same surface (see ``SurfaceModel.gram``)."""
     D._require_same_surface(E)
-    if D.surface.kind == QUADRIC:
-        return D.coeffs[0] * E.coeffs[1] + D.coeffs[1] * E.coeffs[0]
-    return D.coeffs[0] * E.coeffs[0] - sum(c * d for c, d in zip(D.coeffs[1:], E.coeffs[1:]))
+    return D.surface.pair(D.coeffs, E.coeffs)
 
 
 def canonical_class(surface: SurfaceModel) -> DivisorClass:
     """K = -3l + e1 + ... + er on blow-ups, -2h - 2m on the quadric."""
-    if surface.kind == QUADRIC:
-        return DivisorClass(surface, (-2, -2))
-    return DivisorClass(surface, (-3,) + (1,) * surface.r)
+    return surface.canonical
 
 
 def hyperplane(surface: SurfaceModel) -> DivisorClass:
     """The very ample anticanonical class H = -K embedding the surface."""
-    return -canonical_class(surface)
+    return surface.hyperplane
 
 
 def degree(D: DivisorClass) -> int:
     """Degree of D as a curve under the anticanonical embedding: D.H."""
-    return intersect(D, hyperplane(D.surface))
+    return sum(map(mul, D.coeffs, D.surface.degree_vector))
 
 
 def self_intersection(D: DivisorClass) -> int:
@@ -203,7 +234,7 @@ def arithmetic_genus(D: DivisorClass) -> Fraction:
 
 def euler_characteristic(D: DivisorClass) -> int:
     """Riemann-Roch value chi(D) = D.(D+H)/2 + 1."""
-    twice = intersect(D, D + hyperplane(D.surface))
+    twice = self_intersection(D) + degree(D)
     if twice % 2 != 0:
         raise InternalError(f"odd Riemann-Roch numerator for {D}")
     return twice // 2 + 1
@@ -211,8 +242,6 @@ def euler_characteristic(D: DivisorClass) -> int:
 
 # ---------------------------------------------------------------------------
 # ruled-surface coordinates on X1
-
-_X1 = SurfaceModel(BLOWUP, 1)
 
 
 @dataclass(frozen=True)
@@ -228,14 +257,14 @@ class RuledCoords:
 
 
 def to_ruled(D: DivisorClass) -> RuledCoords:
-    if D.surface != _X1:
+    if D.surface != blow_up(1):
         raise SurfaceMismatch("the C0,f basis exists only on the one-point blow-up")
     a, c1 = D.coeffs
     return RuledCoords(c0=a + c1, f=a)
 
 
 def from_ruled(coords: RuledCoords) -> DivisorClass:
-    return DivisorClass(_X1, (coords.f, coords.c0 - coords.f))
+    return DivisorClass(blow_up(1), (coords.f, coords.c0 - coords.f))
 
 
 # ---------------------------------------------------------------------------
@@ -245,26 +274,11 @@ _SYMBOL = re.compile(r"C0|e[0-9]+|l|f|h|m")
 
 
 def _symbol_vector(surface: SurfaceModel, sym: str, pos: int) -> tuple[int, ...]:
-    rank = surface.rank
-    if surface.kind == QUADRIC:
-        if sym == "h":
-            return (1, 0)
-        if sym == "m":
-            return (0, 1)
-    else:
-        if sym == "l":
-            return (1,) + (0,) * surface.r
-        if sym.startswith("e") and sym != "e":
-            k = int(sym[1:])
-            if 1 <= k <= surface.r:
-                vec = [0] * rank
-                vec[k] = 1
-                return tuple(vec)
-        if surface.r == 1 and sym == "C0":
-            return (0, 1)
-        if surface.r == 1 and sym == "f":
-            return (1, -1)
-    raise DivisorParseError(f"unknown basis symbol {sym!r} on {surface}", pos)
+    key = f"e{int(sym[1:])}" if sym[0] == "e" else sym
+    try:
+        return surface.symbols[key]
+    except KeyError:
+        raise DivisorParseError(f"unknown basis symbol {sym!r} on {surface}", pos) from None
 
 
 def parse_divisor(surface: SurfaceModel, text: str) -> DivisorClass:
@@ -328,7 +342,7 @@ def parse_divisor(surface: SurfaceModel, text: str) -> DivisorClass:
 def format_divisor(D: DivisorClass) -> str:
     """Canonical text form, e.g. ``3l-2e1-e2``, ``h+3m`` or ``0``."""
     parts: list[str] = []
-    for c, sym in zip(D.coeffs, D.surface.basis_symbols()):
+    for c, sym in zip(D.coeffs, D.surface.basis):
         if c == 0:
             continue
         sign = "-" if c < 0 else "+"

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from delpezzo import (
+    InternalError,
     PreconditionViolated,
     SurfaceMismatch,
     arithmetic_genus,
@@ -17,6 +18,7 @@ from delpezzo import (
     quadric,
     zero_class,
 )
+from delpezzo import acm
 from delpezzo.acm import (
     ambient_dimension,
     canonicalize,
@@ -28,7 +30,6 @@ from delpezzo.acm import (
     h0_hyperplane_residual,
     h1_initialized_twist,
     is_acm_initialized,
-    is_acm_initialized_quadric,
     orbit_size,
     sort_key,
 )
@@ -53,20 +54,25 @@ def test_criterion_examples():
     assert not is_acm_initialized(parse_divisor(X3, "l-e1-e2-e3"))
 
 
+def quadric_closed_form(a, b):
+    """The quadric criterion solved: a*h + b*m is ACM iff it is 0 or (a-1)(b-1) = 0, 0 < 2a+2b <= 8."""
+    if a == 0 and b == 0:
+        return True
+    return (a - 1) * (b - 1) == 0 and 0 < 2 * a + 2 * b <= 8
+
+
 def test_quadric_criterion_examples():
     D = parse_divisor(Q, "h+3m")
-    assert is_acm_initialized_quadric(D) and degree(D) == 8
-    assert not is_acm_initialized_quadric(parse_divisor(Q, "2h+2m"))
+    assert is_acm_initialized(D) and degree(D) == 8
+    assert not is_acm_initialized(parse_divisor(Q, "2h+2m"))
     h = parse_divisor(Q, "h")
-    assert is_acm_initialized_quadric(h) and degree(h) == 2
-    with pytest.raises(SurfaceMismatch):
-        is_acm_initialized_quadric(parse_divisor(X2, "l"))
+    assert is_acm_initialized(h) and degree(h) == 2
+    assert not quadric_closed_form(2, 2) and quadric_closed_form(1, 3)
 
 
 @given(a=st.integers(-10, 10), b=st.integers(-10, 10))
 def test_quadric_criterion_agrees_with_general(a, b):
-    D = divisor(Q, a, b)
-    assert is_acm_initialized_quadric(D) == is_acm_initialized(D)
+    assert quadric_closed_form(a, b) == is_acm_initialized(divisor(Q, a, b))
 
 
 # --- enumeration ------------------------------------------------------------------
@@ -97,9 +103,16 @@ def test_enumeration_is_sorted_and_duplicate_free():
         assert len(set(classes)) == len(classes)
 
 
-def test_threaded_enumeration_matches_sequential():
-    for surface in (X5, Q):
-        assert enumerate_acm(surface, threads=4) == enumerate_acm(surface)
+@pytest.mark.parametrize("surface", [X6, Q], ids=str)
+def test_box_guard_rejects_hits_outside_primary_box(surface, monkeypatch):
+    (lead, tail), wide = acm.BOXES[surface.kind]
+    monkeypatch.setitem(acm.BOXES, surface.kind, ((range(lead.start + 1, lead.stop), tail), wide))
+    acm._enumerate_cached.cache_clear()
+    try:
+        with pytest.raises(InternalError, match="outside the enumeration box"):
+            enumerate_acm(surface)
+    finally:
+        acm._enumerate_cached.cache_clear()
 
 
 @pytest.mark.parametrize("surface", ALL_SURFACES, ids=str)

@@ -4,6 +4,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from delpezzo import InternalError, acm, format_divisor, parse_divisor, surface_from_name
 from delpezzo.cli import main
 from delpezzo.goldens import write_golden_dir
 
@@ -79,6 +80,27 @@ def test_classify_parse_error(capsys):
     code, out, err = run(capsys, "classify", "X3", "3l-2e1-x2")
     assert code == 2
     assert "position" in err
+
+
+@pytest.mark.parametrize(
+    "surface, text", [("X3", "-l+e1"), ("X3", "-2e1"), ("X3", "-e1+2l"), ("Q", "-h+3m")]
+)
+def test_classify_divisor_with_leading_minus(surface, text, capsys):
+    code, out, err = run(capsys, "classify", surface, text)
+    assert code == 0, err
+    assert (code, out, err) == run(capsys, "classify", surface, "--", text)
+    expected = run(capsys, "classify", surface, "--format", "json", "--", text)
+    assert run(capsys, "classify", surface, "--format", "json", text) == expected
+    code, payload = run_json(capsys, "classify", surface, text)  # --format after the divisor
+    assert (code, payload) == (0, json.loads(expected[1]))
+    assert payload["divisor"] == format_divisor(parse_divisor(surface_from_name(surface), text))
+
+
+def test_classify_help_still_prints(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "-h"])
+    assert exc.value.code == 0
+    assert "usage: acm classify" in capsys.readouterr().out
 
 
 def test_classify_na_fields_in_text(capsys):
@@ -201,11 +223,18 @@ def test_byte_identical_reruns(argv, capsys):
     assert jfirst == jsecond
 
 
-def test_thread_env_does_not_change_output(capsys, monkeypatch):
-    _, baseline, _ = run(capsys, "table", "X6")
-    monkeypatch.setenv("ACM_THREADS", "4")
-    _, threaded, _ = run(capsys, "table", "X6")
-    assert baseline == threaded
-    monkeypatch.setenv("ACM_THREADS", "1")
-    _, single, _ = run(capsys, "table", "X6")
-    assert baseline == single
+# --- internal errors -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("error", [InternalError("box guard fired"), KeyError("boom")])
+def test_internal_error_exit_code(error, capsys, monkeypatch):
+    def broken(surface):
+        raise error
+
+    monkeypatch.setattr(acm, "enumerate_acm", broken)
+    code, out, err = run(capsys, "table", "X6")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("acm: internal error: ") and err.count("\n") == 1
+    assert type(error).__name__ in err
+    assert "Traceback" not in err

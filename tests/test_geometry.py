@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from delpezzo import (
     blow_up,
     degree,
     divisor,
+    from_multiplicities,
     hyperplane,
     intersect,
     parse_divisor,
@@ -19,6 +21,7 @@ from delpezzo import (
 )
 from delpezzo.geometry import (
     alternative_base,
+    cone_generators,
     decompose,
     enumerate_lines,
     has_smooth_nonline_member,
@@ -115,6 +118,99 @@ def test_effectivity_lemma_consistency(r, data):
     D = divisor(surface, a, *(-x for x in b))
     if self_intersection(D) == degree(D) - 2 and degree(D) > 0:
         assert is_effective(D)
+
+
+# --- effectivity oracle: closed forms and the line-monoid search ------------------
+
+
+def line_monoid_member(D):
+    """Whether D is a nonnegative integer sum of (-1)-lines (r >= 2), by exhaustive search.
+
+    Lines with positive l-coefficient are branched on; the rest of the
+    combination is then forced.  Exact, but it grows roughly as deg^7, so it
+    serves as an oracle for small degrees only.
+    """
+    if degree(D) < 0:
+        return False
+    if D.is_zero:
+        return True
+    consuming = sorted(
+        (L.divisor.coeffs for L in enumerate_lines(D.surface) if L.divisor.coeffs[0] > 0),
+        key=lambda v: -v[0],
+    )
+    failed = set()
+
+    def search(idx, rest):
+        a = rest[0]
+        if a < 0:
+            return False
+        if idx == len(consuming):
+            return a == 0 and all(c >= 0 for c in rest[1:])
+        if (idx, rest) in failed:
+            return False
+        vec = consuming[idx]
+        for n in range(a // vec[0], -1, -1):
+            if search(idx + 1, tuple(x - n * v for x, v in zip(rest, vec))):
+                return True
+        failed.add((idx, rest))
+        return False
+
+    return search(0, D.coeffs)
+
+
+def effective_by_oracle(D):
+    """Closed forms on the quadric, the plane and X1; the line-monoid search for r >= 2."""
+    surface = D.surface
+    if surface.kind == "quadric":
+        return D.coeffs[0] >= 0 and D.coeffs[1] >= 0
+    if surface.r == 0:
+        return D.coeffs[0] >= 0
+    if surface.r == 1:
+        a, c1 = D.coeffs
+        return a >= 0 and a + c1 >= 0  # D.l >= 0 and D.f >= 0
+    return line_monoid_member(D)
+
+
+def oracle_sample(surface):
+    """Small classes: all of [-5, 5]^2 on the quadric; on X_r, sorted multiplicity
+    vectors in [-2, 3] with l-coefficient in [-2, 8 - r] and degree in [-3, 9]
+    (the search's cost grows fast with the l-coefficient on X5 and X6)."""
+    if surface.kind == "quadric":
+        return [divisor(surface, a, b) for a in range(-5, 6) for b in range(-5, 6)]
+    r = surface.r
+    sample = (
+        from_multiplicities(surface, a, b)
+        for a in range(-2, 9 - r)
+        for b in itertools.combinations_with_replacement(range(3, -3, -1), r)
+    )
+    return [D for D in sample if -3 <= degree(D) <= 9]
+
+
+@pytest.mark.parametrize("surface", ALL_SURFACES, ids=str)
+def test_effectivity_agrees_with_oracle(surface):
+    sample = oracle_sample(surface)
+    verdicts = [is_effective(D) for D in sample]
+    assert verdicts == [effective_by_oracle(D) for D in sample]
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_effectivity_beyond_the_search():
+    k = 3000
+    assert is_effective(from_multiplicities(X6, 3 * k, (k,) * 6))  # k*H
+    a = 1000
+    for surface in (X2, X3, X6):
+        D = from_multiplicities(surface, a, (a + 1,) + (0,) * (surface.r - 1))
+        nef = parse_divisor(surface, "l-e1")
+        assert all(intersect(nef, G) >= 0 for G in cone_generators(surface))
+        assert intersect(D, nef) == -1  # certificate: D meets a nef class negatively
+        assert not is_effective(D)
+
+
+def test_cone_generators():
+    assert [str(G) for G in cone_generators(X0)] == ["l"]
+    assert [str(G) for G in cone_generators(X1)] == ["e1", "l-e1"]
+    assert [str(G) for G in cone_generators(Q)] == ["h", "m"]
+    assert cone_generators(X6) == tuple(L.divisor for L in enumerate_lines(X6))
 
 
 # --- very ample / smooth members -------------------------------------------------
