@@ -2,12 +2,12 @@
 
 The numerical criterion is D = 0 or (D^2 = D.H - 2 and 0 < D.H <= H^2),
 stated once in :func:`is_acm_initialized`; such nonzero classes are
-rational normal curves of degree D.H.  Enumeration scans one coefficient
-box on every surface, as a leading coefficient times a sorted tail, checks
-that a wider box holds no further hits, and expands each tail into all its
-distinct permutations; the closed-form catalog regenerates the same classes
-from the explicit five-row table plus the zero and exceptional classes,
-giving an independent oracle.
+rational normal curves of degree D.H.  Enumeration scans, for each degree,
+the coefficient box that the Hodge index theorem proves to hold every
+solution, as a leading coefficient times a sorted tail, and expands each
+tail into all its distinct permutations; the closed-form catalog
+regenerates the same classes from the explicit five-row table plus the
+zero and exceptional classes, giving an independent oracle.
 """
 
 from __future__ import annotations
@@ -33,19 +33,6 @@ from .picard import (
     self_intersection,
     zero_class,
 )
-
-# Enumeration boxes, in stored coefficients: (leading range, tail range), the
-# primary box first, then the wider guard box.  A class is its leading
-# coefficient (l or h) followed by a tail (e1..er or m).  On blow-ups the tail
-# holds the negated multiplicities b_i in [-1, 3] (b = -1 only for
-# exceptional divisors, b <= 2 in every table row, b = 3 excluded by the
-# completeness argument) and 0 <= a <= 5.  The wider box is scanned as a
-# guard and must contain no additional hits.
-BOXES = {
-    BLOWUP: ((range(0, 6), range(-3, 2)), (range(-1, 7), range(-4, 3))),
-    QUADRIC: ((range(0, 5), range(0, 5)), (range(-1, 6), range(-1, 6))),
-}
-
 
 def _criterion(surface: SurfaceModel, coeffs: tuple[int, ...]) -> bool:
     d_h = sum(map(mul, coeffs, surface.degree_vector))
@@ -80,34 +67,48 @@ def _expand(surface: SurfaceModel, a: int, tail: tuple[int, ...]) -> list[Diviso
     return [DivisorClass(surface, (a,) + perm) for perm in perms]
 
 
-def _scan(surface: SurfaceModel, lead: range, tail: range) -> list[tuple[int, tuple[int, ...]]]:
-    """Criterion hits (leading coefficient, sorted tail) in a box.
+def _coefficient_range(surface: SurfaceModel, c: int, k: int) -> range:
+    """Every value of coefficient k on a class D with D.H = c and D^2 = c - 2.
 
-    Permuting the tail preserves the criterion (the quadric's tail has one
-    entry), so only sorted tails are tested.
+    The Gram matrix G is its own inverse on every surface, so D_k = D.w for
+    the class w with coordinates G e_k: w.H = H_k and w^2 = G_kk.  Write
+    d = H^2, D = (c/d)H + P and w = (H_k/d)H + W with P, W in H^perp.  By
+    the Hodge index theorem (Hartshorne, Algebraic Geometry, Thm. V.1.9)
+    H^perp is negative definite, so Cauchy-Schwarz gives
+    (P.W)^2 <= P^2 W^2, that is, with P.W = D_k - c H_k/d,
+
+        (d D_k - c H_k)^2 <= (c^2 - c d + 2d) (H_k^2 - d G_kk).
+
+    The first factor is -d P^2; when it is negative, P^2 > 0 and no class
+    has degree c.  The bound is exact integer arithmetic.
     """
-    return [
-        (a, t)
-        for a in lead
-        for t in itertools.combinations_with_replacement(tail, surface.rank - 1)
-        if _criterion(surface, (a,) + t)
-    ]
-
-
-def _box_guard(
-    surface: SurfaceModel, hits: list[tuple[int, tuple[int, ...]]], lead: range, tail: range
-) -> None:
-    """Raise if the wide-box hits include one outside the primary box."""
-    extra = [(a, t) for a, t in hits if a not in lead or any(x not in tail for x in t)]
-    if extra:
-        raise InternalError(f"criterion hits outside the enumeration box on {surface}: {extra}")
+    d, h_k = surface.degree, surface.hyperplane.coeffs[k]
+    p_norm = c * c - c * d + 2 * d
+    if p_norm < 0:
+        return range(0)
+    g_kk = sum(value for i, j, value in surface.gram if i == j == k)
+    s = math.isqrt(p_norm * (h_k * h_k - d * g_kk))
+    return range(-((s - c * h_k) // d), (c * h_k + s) // d + 1)
 
 
 @lru_cache(maxsize=None)
 def _enumerate_cached(surface: SurfaceModel) -> tuple[DivisorClass, ...]:
-    primary, wide = BOXES[surface.kind]
-    hits = _scan(surface, *wide)
-    _box_guard(surface, hits, *primary)
+    """Per degree c, scan the leading range times the sorted tails drawn from
+    the last coefficient's range, keeping the criterion hits of degree c.
+
+    Every tail coefficient has the same range (H_k = -1 and G_kk = -1 on
+    blow-ups; the quadric's tail has one entry), and permuting the tail
+    preserves the criterion.  At c = 0 the criterion accepts only the zero
+    class.
+    """
+    n = surface.rank - 1
+    hits = []
+    for c in range(surface.degree + 1):
+        tails = itertools.combinations_with_replacement(_coefficient_range(surface, c, n), n)
+        for a, t in itertools.product(_coefficient_range(surface, c, 0), tails):
+            coeffs = (a,) + t
+            if sum(map(mul, coeffs, surface.degree_vector)) == c and _criterion(surface, coeffs):
+                hits.append((a, t))
     classes = sorted((D for a, t in hits for D in _expand(surface, a, t)), key=sort_key)
     if len(set(classes)) != len(classes):
         raise InternalError(f"duplicate classes enumerated on {surface}")

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import (
     InternalError,
@@ -133,12 +132,6 @@ class WildPair:
         return tuple(1 + intersect(x, y) - d for x, y in pairs)
 
 
-@lru_cache(maxsize=None)
-def _maximal_degree_classes(surface: SurfaceModel) -> tuple[DivisorClass, ...]:
-    n = surface.degree
-    return tuple(D for D in enumerate_acm(surface) if degree(D) == n)
-
-
 def _make_pair(C: DivisorClass, D: DivisorClass) -> WildPair:
     two_h = 2 * hyperplane(C.surface)
     pair = WildPair(C, D, two_h - C, two_h - D)
@@ -151,31 +144,29 @@ def _make_pair(C: DivisorClass, D: DivisorClass) -> WildPair:
     return pair
 
 
-@lru_cache(maxsize=None)
-def _wild_pair_hits(surface: SurfaceModel) -> tuple[WildPair, ...]:
+def _wild_pairs(surface: SurfaceModel) -> Iterator[WildPair]:
+    """Ordered pairs of distinct maximal-degree classes with C.D = 1 + d, in canonical order."""
     n = surface.degree
-    maximal = _maximal_degree_classes(surface)
-    hits = []
+    maximal = [D for D in enumerate_acm(surface) if degree(D) == n]
     for C in maximal:
         for D in maximal:
             if C != D and intersect(C, D) == 1 + n:
-                hits.append(_make_pair(C, D))
-    return tuple(hits)
+                yield _make_pair(C, D)
 
 
 def find_wild_pairs(surface: SurfaceModel) -> list[WildPair]:
     """All ordered pairs of distinct maximal-degree classes with C.D = 1 + d."""
-    return list(_wild_pair_hits(surface))
+    return list(_wild_pairs(surface))
 
 
 def find_wild_pair(surface: SurfaceModel) -> WildPair:
     """First pair in canonical order; NotFound when the search is empty."""
-    hits = _wild_pair_hits(surface)
-    if not hits:
+    pair = next(_wild_pairs(surface), None)
+    if pair is None:
         raise NotFound(
             f"no pair of maximal-degree ACM classes with C.D = {1 + surface.degree} on {surface}"
         )
-    return hits[0]
+    return pair
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from delpezzo import (
-    InternalError,
     PreconditionViolated,
     SurfaceMismatch,
     arithmetic_genus,
@@ -103,16 +102,21 @@ def test_enumeration_is_sorted_and_duplicate_free():
         assert len(set(classes)) == len(classes)
 
 
-@pytest.mark.parametrize("surface", [X6, Q], ids=str)
-def test_box_guard_rejects_hits_outside_primary_box(surface, monkeypatch):
-    (lead, tail), wide = acm.BOXES[surface.kind]
-    monkeypatch.setitem(acm.BOXES, surface.kind, ((range(lead.start + 1, lead.stop), tail), wide))
-    acm._enumerate_cached.cache_clear()
-    try:
-        with pytest.raises(InternalError, match="outside the enumeration box"):
-            enumerate_acm(surface)
-    finally:
-        acm._enumerate_cached.cache_clear()
+def test_coefficient_range_bounds_every_solution():
+    # brute force over a box much wider than the bound; permuting the tail
+    # preserves both equations, so sorted tails cover every class
+    solutions = 0
+    for surface in ALL_SURFACES:
+        for a in range(-3, 10):
+            for t in itertools.combinations_with_replacement(range(-5, 6), surface.rank - 1):
+                coeffs = (a,) + t
+                D = divisor(surface, *coeffs)
+                c = degree(D)
+                if 0 <= c <= surface.degree and intersect(D, D) == c - 2:
+                    solutions += 1
+                    for k, x in enumerate(coeffs):
+                        assert x in acm._coefficient_range(surface, c, k), (surface.name, coeffs, k)
+    assert solutions == 85
 
 
 @pytest.mark.parametrize("surface", ALL_SURFACES, ids=str)

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -202,6 +204,15 @@ def test_verify_missing_dir(tmp_path, capsys):
     assert code == 2
 
 
+def test_module_entry_point_runs_the_cli(tmp_path):
+    # -m puts the working directory on sys.path, so the package is found in src/
+    src = Path(__file__).parent.parent / "src"
+    argv = [sys.executable, "-m", "delpezzo.cli", "verify", "--golden", str(tmp_path / "nope")]
+    result = subprocess.run(argv, cwd=src, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 2
+    assert "does not exist" in result.stderr
+
+
 # --- determinism --------------------------------------------------------------------
 
 
@@ -226,7 +237,7 @@ def test_byte_identical_reruns(argv, capsys):
 # --- internal errors -------------------------------------------------------------
 
 
-@pytest.mark.parametrize("error", [InternalError("box guard fired"), KeyError("boom")])
+@pytest.mark.parametrize("error", [InternalError("duplicate classes enumerated"), KeyError("boom")])
 def test_internal_error_exit_code(error, capsys, monkeypatch):
     def broken(surface):
         raise error

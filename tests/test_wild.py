@@ -147,6 +147,7 @@ def test_paper_pairs_are_found(surface):
     assert intersect(C, D) == product == 1 + surface.degree
     hits = find_wild_pairs(surface)
     assert any(p.C == C and p.D == D for p in hits)
+    assert find_wild_pair(surface) == hits[0]
 
 
 @pytest.mark.parametrize("surface", WILD_SURFACES, ids=str)
