@@ -7,7 +7,8 @@ the coefficient box that the Hodge index theorem proves to hold every
 solution, as a leading coefficient times a sorted tail, and expands each
 tail into all its distinct permutations; the closed-form catalog
 regenerates the same classes from the explicit five-row table plus the
-zero and exceptional classes, giving an independent oracle.
+zero and exceptional classes, giving an independent oracle.  ``geometry``
+reads its positivity tests off the lines, conics and twisted cubics here.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from functools import lru_cache
 from operator import mul
 
 from .errors import InternalError, PreconditionViolated, SurfaceMismatch, UnsupportedSurface
-from .geometry import is_effective
 from .picard import (
     BLOWUP,
     QUADRIC,
@@ -28,9 +28,7 @@ from .picard import (
     SurfaceModel,
     degree,
     from_multiplicities,
-    hyperplane,
     multiplicities,
-    self_intersection,
     zero_class,
 )
 
@@ -256,23 +254,6 @@ def degree_count_table(surface: SurfaceModel) -> dict[int, int]:
 
 # ---------------------------------------------------------------------------
 # cohomological bookkeeping with closed forms
-
-
-def h1_initialized_twist(D: DivisorClass) -> int:
-    """h^1 of the first negative twist of an initialized effective class.
-
-    Equals (D.H - D^2)/2 - 1, hence 0 exactly on classes with D^2 = D.H - 2.
-    """
-    if D.is_zero:
-        raise PreconditionViolated("needs a nonzero class")
-    if not is_effective(D):
-        raise PreconditionViolated(f"{D} is not effective")
-    if is_effective(D - hyperplane(D.surface)):
-        raise PreconditionViolated(f"{D} is not initialized: {D - hyperplane(D.surface)} is effective")
-    numerator = degree(D) - self_intersection(D)
-    if numerator % 2 != 0:
-        raise InternalError(f"odd parity of D.H - D^2 for {D}")
-    return numerator // 2 - 1
 
 
 def ambient_dimension(D: DivisorClass) -> int:

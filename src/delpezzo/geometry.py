@@ -1,10 +1,9 @@
 """(-1)-lines of a strong del Pezzo surface and the positivity tests built on them.
 
-Covers: complete line enumeration, the generators of the effective cone,
-effectivity (one nef-reduction loop over those generators on every
-surface), very-ampleness, existence of smooth members without line
-components, and the alternative basis D_0..D_r of the Picard lattice with
-its divisor decomposition.
+Covers: complete line enumeration; effectivity, very-ampleness and smooth
+members without line components, each a sign test against the lines,
+conics and twisted cubics of the ACM catalog; h^1 of the first negative
+twist; and the alternative basis D_0..D_r with its divisor decomposition.
 """
 
 from __future__ import annotations
@@ -12,7 +11,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
+from .acm import enumerate_acm
 from .errors import InternalError, PreconditionViolated, UnsupportedSurface
 from .picard import (
     BLOWUP,
@@ -21,6 +22,7 @@ from .picard import (
     SurfaceModel,
     canonical_class,
     degree,
+    hyperplane,
     intersect,
     self_intersection,
 )
@@ -60,75 +62,79 @@ def enumerate_lines(surface: SurfaceModel) -> tuple[LineClass, ...]:
     return tuple(lines)
 
 
-@lru_cache(maxsize=None)
-def cone_generators(surface: SurfaceModel) -> tuple[DivisorClass, ...]:
-    """Generators of the effective cone: l on X0, e1 and l-e1 on X1, h and m
-    on the quadric, the (-1)-lines for r >= 2."""
-    if surface.kind == QUADRIC or surface.r == 0:
-        return surface.units
-    if surface.r == 1:
-        l, e1 = surface.units
-        return (e1, l - e1)
-    return tuple(L.divisor for L in enumerate_lines(surface))
-
-
 # ---------------------------------------------------------------------------
-# effectivity
+# positivity, read off the low-degree ACM classes
+
+
+@lru_cache(maxsize=None)
+def _pairing_rows(surface: SurfaceModel, degrees: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """(N.u for u in the basis) for each ACM class N of the given degrees, so
+    that D.N = sum(map(mul, D.coeffs, row))."""
+    catalog = enumerate_acm(surface)
+    return tuple(tuple(intersect(N, u) for u in surface.units) for N in catalog if degree(N) in degrees)
 
 
 def is_effective(D: DivisorClass) -> bool:
-    """Whether the class contains an effective divisor, by nef reduction.
+    """Whether D is effective: D.N >= 0 for the ACM classes N of degree 2 and 3.
 
-    While deg D >= 0 and some generator N with N^2 < 0 (an irreducible
-    curve) has D.N = -k < 0, replace D by D - kN: every member of |D|
-    contains N with multiplicity at least k, so kN is a fixed component and
-    D is effective exactly when D - kN is.  Each step lowers the degree by
-    k >= 1, so the loop ends.  Then D is effective iff deg D >= 0 and D.G >= 0
-    for every generator G.  If so, D is nef, because the generators span the
-    effective cone; a nef class has h^2 = h^0(K - D) = 0, since
-    (K - D).H < 0, and chi(D) = D.(D - K)/2 + 1 >= 1, so h^0(D) >= 1.
-    If not, D meets a generator G with G^2 >= 0 negatively; such a G is nef,
-    so D is not effective.
+    These conics (N^2 = 0) and twisted cubics (N^2 = 1) span the nef cone,
+    dual to the effective cone; both are rational polyhedral.  On X0, X1, Q
+    they are l; l-e1, l; h, m.  For r >= 2 the lines span the effective cone,
+    so an extremal nef ray is orthogonal to r independent lines: a conic
+    bundle's fibre or a line pulled back under a blow-down to P2 (Manin,
+    Cubic Forms, par. 26; Dolgachev, Classical Algebraic Geometry, ch. 8:
+    27 + 72 rays on the cubic surface).
+
+    An integral class in the effective cone is effective.  If D.L = -k < 0
+    for a (-1)-line L, the other cone generators meet L nonnegatively, so L
+    has coefficient >= k in D and D - kL stays in the cone, with lower
+    degree.  This ends at a nef class N, effective as h^2(N) = h^0(K - N) = 0
+    ((K - N).H < 0) and chi(N) = N.(N - K)/2 + 1 >= 1.
     """
-    generators = cone_generators(D.surface)
-    while degree(D) >= 0:
-        for N in generators:
-            k = -intersect(D, N)
-            if k > 0 and self_intersection(N) < 0:
-                D = D - k * N
-                break
-        else:
-            return all(intersect(D, G) >= 0 for G in generators)
-    return False
-
-
-# ---------------------------------------------------------------------------
-# very ample / smooth members
+    return all(sum(map(mul, D.coeffs, row)) >= 0 for row in _pairing_rows(D.surface, (2, 3)))
 
 
 def is_very_ample(D: DivisorClass) -> bool:
-    """Positivity against every generator of the effective cone (blow-ups of 1..6 points)."""
+    """D.N > 0 for the lines and conics (blow-ups of 1..6 points): e1 and l-e1
+    on X1; for r >= 2 each conic is a sum of two lines."""
     surface = D.surface
     if surface.kind != BLOWUP or surface.r == 0:
         raise UnsupportedSurface(
             f"the very-ampleness criterion is stated only for blow-ups of 1..6 points, not {surface}"
         )
-    return all(intersect(D, G) > 0 for G in cone_generators(surface))
+    return all(sum(map(mul, D.coeffs, row)) > 0 for row in _pairing_rows(surface, (1, 2)))
 
 
 def has_smooth_nonline_member(D: DivisorClass) -> bool:
     """Whether |D| contains smooth curves with no (-1)-line as a component.
 
-    True exactly when D meets every (-1)-line nonnegatively; such a class is
-    also generated by global sections.  Requires a nonzero effective class.
-    On the plane and the quadric there are no lines to obstruct, so every
-    nonzero effective class qualifies.
+    True exactly when D meets every (-1)-line, the ACM classes of degree 1,
+    nonnegatively; such a class is also generated by global sections.
+    Requires a nonzero effective class.  On the plane and the quadric there
+    are no lines to obstruct, so every nonzero effective class qualifies.
     """
     if D.is_zero:
         raise PreconditionViolated("the smooth-member criterion needs a nonzero class")
     if not is_effective(D):
         raise PreconditionViolated(f"{D} is not effective")
-    return all(intersect(D, L.divisor) >= 0 for L in enumerate_lines(D.surface))
+    return all(sum(map(mul, D.coeffs, row)) >= 0 for row in _pairing_rows(D.surface, (1,)))
+
+
+def h1_initialized_twist(D: DivisorClass) -> int:
+    """h^1 of the first negative twist of an initialized effective class.
+
+    Equals (D.H - D^2)/2 - 1, hence 0 exactly on classes with D^2 = D.H - 2.
+    """
+    if D.is_zero:
+        raise PreconditionViolated("needs a nonzero class")
+    if not is_effective(D):
+        raise PreconditionViolated(f"{D} is not effective")
+    if is_effective(D - hyperplane(D.surface)):
+        raise PreconditionViolated(f"{D} is not initialized: {D - hyperplane(D.surface)} is effective")
+    numerator = degree(D) - self_intersection(D)
+    if numerator % 2 != 0:
+        raise InternalError(f"odd parity of D.H - D^2 for {D}")
+    return numerator // 2 - 1
 
 
 # ---------------------------------------------------------------------------

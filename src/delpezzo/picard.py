@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
@@ -287,7 +288,12 @@ def parse_divisor(surface: SurfaceModel, text: str) -> DivisorClass:
     Whitespace is ignored, terms may appear in any order and repeated basis
     symbols are summed.  Unknown symbols for the surface are errors, not
     zeros; errors carry the character position of the offending token.
+    Coefficients have at most (limit - 1) // 2 digits for the int-to-str
+    limit ``sys.get_int_max_str_digits()``, so that D^2, chi and the genus,
+    at most 7 times a squared coefficient, can be printed.
     """
+    limit = sys.get_int_max_str_digits()
+    max_digits = (limit - 1) // 2 if limit else sys.maxsize
     coeffs = [0] * surface.rank
     i, n = 0, len(text)
 
@@ -315,6 +321,8 @@ def parse_divisor(surface: SurfaceModel, text: str) -> DivisorClass:
         while i < n and text[i].isdigit():
             i += 1
         digits = text[digit_start:i]
+        if len(digits) > max_digits:
+            raise DivisorParseError(f"coefficient has more than {max_digits} digits", digit_start)
         skip_ws()
         m = _SYMBOL.match(text, i)
         if m is None:
@@ -336,6 +344,8 @@ def parse_divisor(surface: SurfaceModel, text: str) -> DivisorClass:
             break
         if text[i] not in "+-":
             raise DivisorParseError(f"unexpected {text[i]!r} after term", i)
+    if any(len(str(abs(c))) > max_digits for c in coeffs):
+        raise DivisorParseError(f"a summed coefficient has more than {max_digits} digits", 0)
     return DivisorClass(surface, tuple(coeffs))
 
 

@@ -27,12 +27,11 @@ from delpezzo.acm import (
     enumerate_acm,
     expand_orbit,
     h0_hyperplane_residual,
-    h1_initialized_twist,
     is_acm_initialized,
     orbit_size,
     sort_key,
 )
-from delpezzo.geometry import enumerate_lines, is_effective
+from delpezzo.geometry import enumerate_lines, h1_initialized_twist, is_effective
 
 from paper_values import EXPECTED_COUNTS, TOTALS
 

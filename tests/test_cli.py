@@ -111,6 +111,75 @@ def test_classify_na_fields_in_text(capsys):
     assert "very_ample: n/a" in out
 
 
+# --- bounded input: huge coefficients ------------------------------------------------
+
+
+def text_report(out):
+    return dict(line.split(": ", 1) for line in out.splitlines())
+
+
+@pytest.mark.parametrize("surface", ["X2", "X3", "X6"])
+def test_classify_huge_non_effective_class(surface, capsys):
+    # a*l - (a+1)*e1 meets the conic l - e1 in -1; nef reduction took a steps
+    a = 10**100
+    text = f"{a}l-{a + 1}e1"
+    code, out, err = run(capsys, "classify", surface, text)
+    assert (code, err) == (0, "")
+    assert text_report(out) == {
+        "surface": surface,
+        "divisor": text,
+        "degree": str(2 * a - 1),
+        "self_intersection": str(-2 * a - 1),
+        "arithmetic_genus": str(1 - 2 * a),
+        "euler_characteristic": "0",
+        "effective": "false",
+        "very_ample": "false",
+        "smooth_member": "n/a",
+        "acm_initialized": "false",
+        "zero_regular": "n/a",
+    }
+
+
+def test_classify_huge_multiple_of_h(capsys):
+    m = 10**100
+    text = f"{3 * m}l" + "".join(f"-{m}e{i}" for i in range(1, 7))
+    code, out, err = run(capsys, "classify", "X6", text)
+    assert (code, err) == (0, "")
+    assert text_report(out) == {
+        "surface": "X6",
+        "divisor": text,
+        "degree": str(3 * m),
+        "self_intersection": str(3 * m * m),
+        "arithmetic_genus": str((3 * m * m - 3 * m) // 2 + 1),
+        "euler_characteristic": str((3 * m * m + 3 * m) // 2 + 1),
+        "effective": "true",
+        "very_ample": "true",
+        "smooth_member": "true",
+        "acm_initialized": "false",
+        "zero_regular": "n/a",
+    }
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_classify_coefficient_too_long_to_print(fmt, capsys):
+    # D^2 of a (2m+1)-digit coefficient would exceed the int-to-str limit
+    m = (sys.get_int_max_str_digits() - 1) // 2
+    nines = "9" * m
+    for text in ("9" + nines + "l", "9" * (m + 11) + "l", f"{nines}l+{nines}l"):
+        code, out, err = run(capsys, "classify", "X6", text, "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err.startswith("acm: error: ") and err.count("\n") == 1
+    # the longest accepted coefficients still give a whole report
+    text = f"{nines}l" + "".join(f"-{nines}e{i}" for i in range(1, 7))
+    if fmt == "json":
+        code, payload = run_json(capsys, "classify", "X6", text)
+        assert payload["report"]["self_intersection"] == (10**m - 1) ** 2 * -5
+    else:
+        code, out, err = run(capsys, "classify", "X6", text)
+        assert text_report(out)["self_intersection"] == str((10**m - 1) ** 2 * -5)
+    assert code == 0
+
+
 # --- table -------------------------------------------------------------------------
 
 

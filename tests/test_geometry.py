@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,9 +20,9 @@ from delpezzo import (
     self_intersection,
     zero_class,
 )
+from delpezzo.acm import enumerate_acm
 from delpezzo.geometry import (
     alternative_base,
-    cone_generators,
     decompose,
     enumerate_lines,
     has_smooth_nonline_member,
@@ -201,16 +202,77 @@ def test_effectivity_beyond_the_search():
     for surface in (X2, X3, X6):
         D = from_multiplicities(surface, a, (a + 1,) + (0,) * (surface.r - 1))
         nef = parse_divisor(surface, "l-e1")
-        assert all(intersect(nef, G) >= 0 for G in cone_generators(surface))
+        assert all(intersect(nef, L.divisor) >= 0 for L in enumerate_lines(surface))
         assert intersect(D, nef) == -1  # certificate: D meets a nef class negatively
         assert not is_effective(D)
 
 
-def test_cone_generators():
-    assert [str(G) for G in cone_generators(X0)] == ["l"]
-    assert [str(G) for G in cone_generators(X1)] == ["e1", "l-e1"]
-    assert [str(G) for G in cone_generators(Q)] == ["h", "m"]
-    assert cone_generators(X6) == tuple(L.divisor for L in enumerate_lines(X6))
+# --- the former rule, nef reduction, as an oracle for larger classes --------------
+
+
+def former_cone_generators(surface):
+    """l on X0, e1 and l-e1 on X1, h and m on the quadric, the (-1)-lines for r >= 2."""
+    if surface.kind == "quadric" or surface.r == 0:
+        return surface.units
+    if surface.r == 1:
+        l, e1 = surface.units
+        return (e1, l - e1)
+    return tuple(L.divisor for L in enumerate_lines(surface))
+
+
+def nef_reduction(D):
+    """Effectivity by nef reduction, on coefficient vectors: while a generator
+    N with N^2 < 0 has D.N = -k < 0, subtract the fixed component kN; then D
+    is effective iff deg D >= 0 and it meets every generator nonnegatively.
+    Each step removes one line, so the cost grows linearly with the
+    coefficients."""
+    surface = D.surface
+    generators = [G.coeffs for G in former_cone_generators(surface)]
+    c = D.coeffs
+    while sum(map(mul, c, surface.degree_vector)) >= 0:
+        for N in generators:
+            k = -surface.pair(c, N)
+            if k > 0 and surface.pair(N, N) < 0:
+                c = tuple(x - k * n for x, n in zip(c, N))
+                break
+        else:
+            return all(surface.pair(c, G) >= 0 for G in generators)
+    return False
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])
+def test_effectivity_and_very_ampleness_agree_with_the_former_rules(r):
+    """Sorted multiplicity vectors in [-4, 5] with l-coefficient in [-3, 15]
+    and degree in [-3, 9], the band along the boundary of the effective
+    cone where nef reduction takes the most steps; the line-monoid search
+    reaches l-coefficient 8 - r only."""
+    surface = blow_up(r)
+    sample = [
+        from_multiplicities(surface, a, b)
+        for a in range(-3, 16)
+        for b in itertools.combinations_with_replacement(range(5, -5, -1), r)
+        if -3 <= 3 * a - sum(b) <= 9
+    ]
+    verdicts = [is_effective(D) for D in sample]
+    assert verdicts == [nef_reduction(D) for D in sample]
+    assert any(verdicts) and not all(verdicts)
+    generators = former_cone_generators(surface)  # e1 and l-e1 on X1, the lines for r >= 2
+    ample = [is_very_ample(D) for D in sample]
+    assert ample == [all(intersect(D, G) > 0 for G in generators) for D in sample]
+    assert any(ample)
+
+
+def test_low_degree_acm_classes():
+    """Lines are the ACM classes of degree 1; the conics and twisted cubics
+    (degrees 2 and 3), which decide effectivity, are nef."""
+    counts = {"X0": 1, "X1": 2, "X2": 3, "X3": 5, "X4": 10, "X5": 26, "X6": 99, "Q": 2}
+    for surface in ALL_SURFACES:
+        catalog = enumerate_acm(surface)
+        lines = {L.divisor for L in enumerate_lines(surface)}
+        assert {N for N in catalog if degree(N) == 1} == lines
+        nef_rays = [N for N in catalog if degree(N) in (2, 3)]
+        assert len(nef_rays) == counts[surface.name]
+        assert all(intersect(N, L) >= 0 for N in nef_rays for L in lines)
 
 
 # --- very ample / smooth members -------------------------------------------------
