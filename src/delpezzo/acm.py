@@ -1,4 +1,4 @@
-"""Initialized ACM divisor classes: criterion, exhaustive enumeration, orbits, tables.
+"""Initialized ACM divisor classes: criterion, enumeration, closed-form catalog, tables.
 
 The numerical criterion is D = 0 or (D^2 = D.H - 2 and 0 < D.H <= H^2),
 stated once in :func:`is_acm_initialized`; such nonzero classes are
@@ -28,7 +28,6 @@ from .picard import (
     SurfaceModel,
     degree,
     from_multiplicities,
-    multiplicities,
     zero_class,
 )
 
@@ -119,26 +118,16 @@ def enumerate_acm(surface: SurfaceModel) -> list[DivisorClass]:
 
 
 # ---------------------------------------------------------------------------
-# canonical orbit records
-
-
-FAMILY_ZERO = "zero"
-FAMILY_EXCEPTIONAL = "exceptional"
-FAMILY_L_CHAIN = "l-chain"
-FAMILY_2L_CHAIN = "2l-chain"
-FAMILY_3L_2E = "3l-2e"
-FAMILY_4L_222 = "4l-222"
-FAMILY_5L_2SIX = "5l-2^6"
+# closed-form catalog (independent of the box scan)
 
 
 @dataclass(frozen=True)
 class AcmRecord:
-    """Canonical representative of a permutation orbit of ACM classes."""
+    """One catalog row: a representative class, its degree and its orbit size."""
 
     canonical: DivisorClass
     degree: int
     orbit_count: int
-    family_tag: str
 
 
 def orbit_size(r: int, b: tuple[int, ...]) -> int:
@@ -149,56 +138,11 @@ def orbit_size(r: int, b: tuple[int, ...]) -> int:
     return count
 
 
-def _family_tag(r: int, a: int, b_sorted: tuple[int, ...]) -> str:
-    ones = sum(1 for x in b_sorted if x == 1)
-    twos = sum(1 for x in b_sorted if x == 2)
-    zeros = sum(1 for x in b_sorted if x == 0)
-    if a == 1 and twos == 0 and ones + zeros == r and ones <= min(2, r):
-        return FAMILY_L_CHAIN
-    if a == 2 and twos == 0 and ones + zeros == r and max(r - 3, 0) <= ones <= min(5, r):
-        return FAMILY_2L_CHAIN
-    if a == 3 and twos == 1 and ones + zeros == r - 1 and max(1, r - 1) <= ones + 1 <= r:
-        return FAMILY_3L_2E
-    if a == 4 and twos == 3 and ones == r - 3 and zeros == 0:
-        return FAMILY_4L_222
-    if a == 5 and twos == 6 and r == 6:
-        return FAMILY_5L_2SIX
-    raise InternalError(f"ACM class {a}l - {b_sorted} matches no catalog row")
-
-
-def canonicalize(D: DivisorClass) -> AcmRecord:
-    """Orbit record of an ACM class on a blow-up: sorted writing, count, row tag.
-
-    Exceptional divisors canonicalize to the e1 slot; every other class is
-    written with non-increasing multiplicities.
-    """
-    if D.surface.kind != BLOWUP:
-        raise SurfaceMismatch("orbit canonicalization is defined on blow-ups only")
-    if not is_acm_initialized(D):
-        raise PreconditionViolated(f"{D} is not an initialized ACM class")
-    surface = D.surface
-    r = surface.r
-    if D.is_zero:
-        return AcmRecord(D, 0, 1, FAMILY_ZERO)
-    a = D.coeffs[0]
-    b = multiplicities(D)
-    if a == 0:
-        canonical = from_multiplicities(surface, 0, (-1,) + (0,) * (r - 1))
-        return AcmRecord(canonical, 1, orbit_size(r, b), FAMILY_EXCEPTIONAL)
-    b_sorted = tuple(sorted(b, reverse=True))
-    canonical = from_multiplicities(surface, a, b_sorted)
-    return AcmRecord(canonical, degree(D), orbit_size(r, b), _family_tag(r, a, b_sorted))
-
-
 def expand_orbit(record: AcmRecord) -> list[DivisorClass]:
     """All distinct classes obtained by permuting the exceptional divisors."""
     surface = record.canonical.surface
     a = record.canonical.coeffs[0]
     return _expand(surface, a, record.canonical.coeffs[1:])
-
-
-# ---------------------------------------------------------------------------
-# closed-form catalog (independent of the box scan)
 
 
 def closed_form_catalog(surface: SurfaceModel) -> list[AcmRecord]:
@@ -212,25 +156,24 @@ def closed_form_catalog(surface: SurfaceModel) -> list[AcmRecord]:
     if surface.kind != BLOWUP:
         raise UnsupportedSurface("the closed-form catalog is stated for blow-ups")
     r = surface.r
-    records = [AcmRecord(zero_class(surface), 0, 1, FAMILY_ZERO)]
+    records = [AcmRecord(zero_class(surface), 0, 1)]
 
-    def add(a: int, b: tuple[int, ...], tag: str) -> None:
-        records.append(
-            AcmRecord(from_multiplicities(surface, a, b), 3 * a - sum(b), orbit_size(r, b), tag)
-        )
+    def add(a: int, b: tuple[int, ...]) -> None:
+        D = from_multiplicities(surface, a, b)
+        records.append(AcmRecord(D, 3 * a - sum(b), orbit_size(r, b)))
 
     if r >= 1:
-        add(0, (-1,) + (0,) * (r - 1), FAMILY_EXCEPTIONAL)
+        add(0, (-1,) + (0,) * (r - 1))
     for m in range(0, min(2, r) + 1):
-        add(1, (1,) * m + (0,) * (r - m), FAMILY_L_CHAIN)
+        add(1, (1,) * m + (0,) * (r - m))
     for m in range(max(r - 3, 0), min(5, r) + 1):
-        add(2, (1,) * m + (0,) * (r - m), FAMILY_2L_CHAIN)
+        add(2, (1,) * m + (0,) * (r - m))
     for m in range(max(1, r - 1), r + 1):
-        add(3, (2,) + (1,) * (m - 1) + (0,) * (r - m), FAMILY_3L_2E)
+        add(3, (2,) + (1,) * (m - 1) + (0,) * (r - m))
     if r >= 3:
-        add(4, (2, 2, 2) + (1,) * (r - 3), FAMILY_4L_222)
+        add(4, (2, 2, 2) + (1,) * (r - 3))
     if r == 6:
-        add(5, (2,) * 6, FAMILY_5L_2SIX)
+        add(5, (2,) * 6)
     records.sort(key=lambda rec: sort_key(rec.canonical))
     return records
 

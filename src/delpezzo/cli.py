@@ -257,7 +257,7 @@ def cmd_wild(args: argparse.Namespace) -> int:
                 "relations": relations,
                 "schedule": schedule,
                 "param_dim": plan.param_dim,
-                "slope": int(slope) if slope.denominator == 1 else str(slope),
+                "slope": slope,
             }
         )
     else:

@@ -13,19 +13,18 @@ import itertools
 from pathlib import Path
 
 from .acm import (
-    canonicalize,
     closed_form_catalog,
     closed_form_quadric,
     degree_count_table,
     enumerate_acm,
     expand_orbit,
+    orbit_size,
     sort_key,
 )
 from .geometry import enumerate_lines, is_effective
 from .picard import (
     BLOWUP,
     SURFACE_NAMES,
-    DivisorClass,
     SurfaceModel,
     arithmetic_genus,
     degree,
@@ -35,17 +34,15 @@ from .picard import (
 )
 
 
-def _orbit_count(D: DivisorClass) -> int:
-    if D.surface.kind == BLOWUP:
-        return canonicalize(D).orbit_count
-    return 1  # no exceptional divisors to permute on the quadric
-
-
 def golden_lines(surface: SurfaceModel) -> list[str]:
-    return [
-        f"{degree(D)}\t{format_divisor(D)}\t{_orbit_count(D)}"
-        for D in enumerate_acm(surface)
-    ]
+    """One line per class.  The orbit count is the number of distinct
+    permutations of the coefficients after the first: the classes obtained
+    by permuting the exceptional divisors (1 on the quadric)."""
+    lines = []
+    for D in enumerate_acm(surface):
+        t = D.coeffs[1:]
+        lines.append(f"{degree(D)}\t{format_divisor(D)}\t{orbit_size(len(t), t)}")
+    return lines
 
 
 def write_golden_dir(directory: str | Path) -> None:
@@ -80,11 +77,10 @@ def _check_invariants(surface: SurfaceModel) -> list[str]:
     classes = enumerate_acm(surface)
 
     if surface.kind == BLOWUP:
-        expanded = sorted(
-            (c for record in closed_form_catalog(surface) for c in expand_orbit(record)),
-            key=sort_key,
-        )
+        catalog = closed_form_catalog(surface)
+        expanded = sorted((c for record in catalog for c in expand_orbit(record)), key=sort_key)
     else:
+        catalog = []
         expanded = closed_form_quadric(surface)
     if expanded != classes:
         failures.append(f"{surface.name}: closed-form catalog disagrees with enumeration")
@@ -104,13 +100,11 @@ def _check_invariants(surface: SurfaceModel) -> list[str]:
                     f"{surface.name} {format_divisor(D)}: meets {L.label} in {prod}"
                 )
 
-    table = degree_count_table(surface)
     by_degree: dict[int, int] = {}
-    if surface.kind == BLOWUP:
-        for record in closed_form_catalog(surface):
-            by_degree[record.degree] = by_degree.get(record.degree, 0) + record.orbit_count
-        if by_degree != table:
-            failures.append(f"{surface.name}: orbit-count sums disagree with the degree table")
+    for record in catalog:
+        by_degree[record.degree] = by_degree.get(record.degree, 0) + record.orbit_count
+    if surface.kind == BLOWUP and by_degree != degree_count_table(surface):
+        failures.append(f"{surface.name}: orbit-count sums disagree with the degree table")
     return failures
 
 

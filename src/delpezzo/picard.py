@@ -123,7 +123,7 @@ def surface_from_name(text: str) -> SurfaceModel:
         return blow_up(0)
     if t == "Q":
         return quadric()
-    if len(t) == 2 and t[0] == "X" and t[1].isdigit() and int(t[1]) <= 6:
+    if len(t) == 2 and t[0] == "X" and t[1] in "0123456":
         return blow_up(int(t[1]))
     raise ValueError(f"unknown surface {text!r} (expected P2, X0..X6 or Q)")
 
@@ -318,7 +318,7 @@ def parse_divisor(surface: SurfaceModel, text: str) -> DivisorClass:
             raise DivisorParseError(f"expected '+' or '-' before {text[i]!r}", i)
         skip_ws()
         digit_start = i
-        while i < n and text[i].isdigit():
+        while i < n and "0" <= text[i] <= "9":  # ASCII only: str.isdigit accepts "²" and "٣"
             i += 1
         digits = text[digit_start:i]
         if len(digits) > max_digits:

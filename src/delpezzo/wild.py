@@ -10,7 +10,6 @@ sheaves themselves are never constructed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, NamedTuple
 
 from .errors import (
@@ -233,10 +232,13 @@ def family_plan(surface: SurfaceModel, n: int) -> FamilyPlan:
     return FamilyPlan(n, EVEN, m, ext_f_total - 1, (rank2_step, odd_step, even_step), pair)
 
 
-def family_slope(surface: SurfaceModel, plan: FamilyPlan) -> Fraction:
-    """Slope (total degree / rank) of every bundle in the plan: the surface degree."""
-    total = plan.rank * surface.degree  # every constituent line bundle has degree H^2
-    return Fraction(total, plan.rank)
+def family_slope(surface: SurfaceModel, plan: FamilyPlan) -> int:
+    """Slope (total degree / rank) of every bundle in the plan: H^2.
+
+    Every constituent line bundle O(C), O(D), O(E), O(F) is a maximal-degree
+    ACM class, of degree H^2, so a rank-n bundle has total degree n H^2.
+    """
+    return surface.degree
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,12 @@ from hypothesis import given, strategies as st
 
 from delpezzo import (
     PreconditionViolated,
-    SurfaceMismatch,
     arithmetic_genus,
     blow_up,
     degree,
     divisor,
     hyperplane,
     intersect,
-    multiplicities,
     parse_divisor,
     quadric,
     zero_class,
@@ -20,7 +18,6 @@ from delpezzo import (
 from delpezzo import acm
 from delpezzo.acm import (
     ambient_dimension,
-    canonicalize,
     closed_form_catalog,
     closed_form_quadric,
     degree_count_table,
@@ -35,7 +32,7 @@ from delpezzo.geometry import enumerate_lines, h1_initialized_twist, is_effectiv
 
 from paper_values import EXPECTED_COUNTS, TOTALS
 
-X0, X1, X2, X3, X5, X6 = (blow_up(r) for r in (0, 1, 2, 3, 5, 6))
+X0, X1, X2, X3, X6 = (blow_up(r) for r in (0, 1, 2, 3, 6))
 Q = quadric()
 ALL_SURFACES = [blow_up(r) for r in range(7)] + [Q]
 
@@ -133,7 +130,7 @@ def test_enumerated_class_invariants(surface):
                 assert D == L.divisor
 
 
-# --- canonical records --------------------------------------------------------------
+# --- orbit sizes --------------------------------------------------------------------
 
 
 def test_orbit_size_is_multinomial():
@@ -148,33 +145,6 @@ def test_orbit_size_counts_distinct_permutations(data):
     r = data.draw(st.integers(1, 5))
     b = tuple(data.draw(st.tuples(*([st.integers(-1, 2)] * r))))
     assert orbit_size(r, b) == len(set(itertools.permutations(b)))
-
-
-def test_canonicalize_examples():
-    rec = canonicalize(parse_divisor(X6, "4l-2e1-2e2-2e3-e4-e5-e6"))
-    assert rec.orbit_count == 20 and rec.family_tag == "4l-222"
-    rec = canonicalize(parse_divisor(X5, "e3"))
-    assert str(rec.canonical) == "e1"
-    assert rec.orbit_count == 5 and rec.family_tag == "exceptional"
-    rec = canonicalize(zero_class(X3))
-    assert rec.orbit_count == 1 and rec.family_tag == "zero"
-
-
-def test_canonicalize_rejects_bad_input():
-    with pytest.raises(PreconditionViolated):
-        canonicalize(hyperplane(X3))
-    with pytest.raises(SurfaceMismatch):
-        canonicalize(parse_divisor(Q, "h"))
-
-
-def test_canonical_multiplicities_sorted():
-    for surface in (X3, X6):
-        for D in enumerate_acm(surface):
-            rec = canonicalize(D)
-            assert is_acm_initialized(rec.canonical)
-            if rec.family_tag not in ("zero", "exceptional"):
-                b = multiplicities(rec.canonical)
-                assert tuple(sorted(b, reverse=True)) == b
 
 
 # --- closed-form catalog (the independent oracle) -------------------------------------

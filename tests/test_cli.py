@@ -85,6 +85,22 @@ def test_classify_parse_error(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, named",
+    [
+        (("classify", "X3", "²l"), "position 0"),
+        (("classify", "X3", "3l-٣e1"), "position 3"),
+        (("lines", "X²"), "'X²'"),
+        (("table", "X٣"), "'X٣'"),
+    ],
+)
+def test_non_ascii_digits_are_usage_errors(argv, named, capsys):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("acm: error: ") and err.count("\n") == 1
+    assert named in err
+
+
+@pytest.mark.parametrize(
     "surface, text", [("X3", "-l+e1"), ("X3", "-2e1"), ("X3", "-e1+2l"), ("Q", "-h+3m")]
 )
 def test_classify_divisor_with_leading_minus(surface, text, capsys):

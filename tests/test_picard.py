@@ -220,6 +220,13 @@ def test_parse_errors_carry_position():
         parse_divisor(X3, "5")
 
 
+@pytest.mark.parametrize("text, position", [("²l", 0), ("٣l", 0), ("3l-²e1", 3), ("l+e١", 2)])
+def test_parse_rejects_non_ascii_digits(text, position):
+    with pytest.raises(DivisorParseError) as err:
+        parse_divisor(X3, text)
+    assert err.value.position == position
+
+
 @pytest.mark.parametrize("surface", ALL_SURFACES, ids=str)
 @given(data=st.data())
 def test_format_parse_round_trip(surface, data):
@@ -231,5 +238,6 @@ def test_surface_names():
     assert surface_from_name("P2") == X0
     assert surface_from_name("x4") == blow_up(4)
     assert surface_from_name("Q") == Q
-    with pytest.raises(ValueError):
-        surface_from_name("X9")
+    for name in ("X9", "X²", "X٣"):
+        with pytest.raises(ValueError):
+            surface_from_name(name)
