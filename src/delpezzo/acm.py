@@ -2,13 +2,15 @@
 
 The numerical criterion is D = 0 or (D^2 = D.H - 2 and 0 < D.H <= H^2),
 stated once in :func:`is_acm_initialized`; such nonzero classes are
-rational normal curves of degree D.H.  Enumeration scans, for each degree,
-the coefficient box that the Hodge index theorem proves to hold every
-solution, as a leading coefficient times a sorted tail, and expands each
-tail into all its distinct permutations; the closed-form catalog
-regenerates the same classes from the explicit five-row table plus the
-zero and exceptional classes, giving an independent oracle.  ``geometry``
-reads its positivity tests off the lines, conics and twisted cubics here.
+rational normal curves of degree D.H.  Enumeration is served per degree
+(:func:`classes_of_degree`, cached): it scans the coefficient box that the
+Hodge index theorem proves to hold every solution, as a leading coefficient
+times a sorted tail, and expands each tail into all its distinct
+permutations; :func:`enumerate_acm` concatenates the degrees.  The
+closed-form catalog regenerates the same classes from the explicit five-row
+table plus the zero and exceptional classes, giving an independent oracle.
+``geometry`` reads the (-1)-lines and its positivity tests off the classes
+of degree 1, 2 and 3, and ``wild`` its pairs off those of degree H^2.
 """
 
 from __future__ import annotations
@@ -89,32 +91,36 @@ def _coefficient_range(surface: SurfaceModel, c: int, k: int) -> range:
 
 
 @lru_cache(maxsize=None)
-def _enumerate_cached(surface: SurfaceModel) -> tuple[DivisorClass, ...]:
-    """Per degree c, scan the leading range times the sorted tails drawn from
-    the last coefficient's range, keeping the criterion hits of degree c.
+def classes_of_degree(surface: SurfaceModel, c: int) -> tuple[DivisorClass, ...]:
+    """Every initialized ACM class of degree c, in the canonical order.
 
-    Every tail coefficient has the same range (H_k = -1 and G_kk = -1 on
+    Scans the leading range times the sorted tails drawn from the last
+    coefficient's range, keeping the criterion hits of degree c.  Every
+    tail coefficient has the same range (H_k = -1 and G_kk = -1 on
     blow-ups; the quadric's tail has one entry), and permuting the tail
     preserves the criterion.  At c = 0 the criterion accepts only the zero
-    class.
+    class; outside 0..H^2 there are no classes.
     """
+    if not 0 <= c <= surface.degree:
+        return ()
     n = surface.rank - 1
-    hits = []
-    for c in range(surface.degree + 1):
-        tails = itertools.combinations_with_replacement(_coefficient_range(surface, c, n), n)
-        for a, t in itertools.product(_coefficient_range(surface, c, 0), tails):
-            coeffs = (a,) + t
-            if sum(map(mul, coeffs, surface.degree_vector)) == c and _criterion(surface, coeffs):
-                hits.append((a, t))
-    classes = sorted((D for a, t in hits for D in _expand(surface, a, t)), key=sort_key)
+    tails = itertools.combinations_with_replacement(_coefficient_range(surface, c, n), n)
+    classes = []
+    for a, t in itertools.product(_coefficient_range(surface, c, 0), tails):
+        coeffs = (a,) + t
+        if sum(map(mul, coeffs, surface.degree_vector)) == c and _criterion(surface, coeffs):
+            classes.extend(_expand(surface, a, t))
+    classes.sort(key=sort_key)
     if len(set(classes)) != len(classes):
-        raise InternalError(f"duplicate classes enumerated on {surface}")
+        raise InternalError(f"duplicate classes of degree {c} enumerated on {surface}")
     return tuple(classes)
 
 
 def enumerate_acm(surface: SurfaceModel) -> list[DivisorClass]:
-    """Every initialized ACM class on the surface, in the canonical order."""
-    return list(_enumerate_cached(surface))
+    """Every initialized ACM class on the surface, in the canonical order:
+    the classes of degree 0, 1, ..., H^2 in turn (``sort_key`` leads with
+    the degree)."""
+    return [D for c in range(surface.degree + 1) for D in classes_of_degree(surface, c)]
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +197,8 @@ def closed_form_quadric(surface: SurfaceModel) -> list[DivisorClass]:
 
 def degree_count_table(surface: SurfaceModel) -> dict[int, int]:
     """Number of ACM classes per degree (orbit-expanded); absent degrees are 0."""
-    counts = Counter(degree(D) for D in enumerate_acm(surface))
-    return dict(sorted(counts.items()))
+    counts = ((c, len(classes_of_degree(surface, c))) for c in range(surface.degree + 1))
+    return {c: n for c, n in counts if n}
 
 
 # ---------------------------------------------------------------------------

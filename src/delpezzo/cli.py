@@ -83,14 +83,13 @@ def cmd_lines(args: argparse.Namespace) -> int:
 
 
 def _classify_report(D: DivisorClass) -> dict:
-    genus = arithmetic_genus(D)
+    """The classify fields, in the order the text report prints them."""
     report: dict[str, object] = {
         "degree": degree(D),
         "self_intersection": self_intersection(D),
-        "arithmetic_genus": int(genus),
+        "arithmetic_genus": arithmetic_genus(D),
         "euler_characteristic": euler_characteristic(D),
         "effective": geometry.is_effective(D),
-        "acm_initialized": acm.is_acm_initialized(D),
     }
     try:
         report["very_ample"] = geometry.is_very_ample(D)
@@ -100,6 +99,7 @@ def _classify_report(D: DivisorClass) -> dict:
         report["smooth_member"] = geometry.has_smooth_nonline_member(D)
     except PreconditionViolated:
         report["smooth_member"] = None
+    report["acm_initialized"] = acm.is_acm_initialized(D)
     try:
         report["zero_regular"] = wild.is_zero_regular_acm(D)
     except PreconditionViolated:
@@ -123,18 +123,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     else:
         print(f"surface: {surface.name}")
         print(f"divisor: {format_divisor(D)}")
-        for key in (
-            "degree",
-            "self_intersection",
-            "arithmetic_genus",
-            "euler_characteristic",
-            "effective",
-            "very_ample",
-            "smooth_member",
-            "acm_initialized",
-            "zero_regular",
-        ):
-            value = report[key]
+        for key, value in report.items():
             if value is None:
                 text = "n/a"
             elif isinstance(value, bool):

@@ -1,23 +1,22 @@
 """(-1)-lines of a strong del Pezzo surface and the positivity tests built on them.
 
-Covers: complete line enumeration; effectivity, very-ampleness and smooth
-members without line components, each a sign test against the lines,
-conics and twisted cubics of the ACM catalog; h^1 of the first negative
-twist; and the alternative basis D_0..D_r with its divisor decomposition.
+Covers: the lines, labelled, which are the ACM classes of degree 1;
+effectivity, very-ampleness and smooth members without line components,
+each a sign test against the lines, conics and twisted cubics of the ACM
+catalog; h^1 of the first negative twist; and the alternative basis
+D_0..D_r with its divisor decomposition.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 
-from .acm import enumerate_acm
+from .acm import classes_of_degree
 from .errors import InternalError, PreconditionViolated, UnsupportedSurface
 from .picard import (
     BLOWUP,
-    QUADRIC,
     DivisorClass,
     SurfaceModel,
     canonical_class,
@@ -38,28 +37,22 @@ class LineClass:
 
 @lru_cache(maxsize=None)
 def enumerate_lines(surface: SurfaceModel) -> tuple[LineClass, ...]:
-    """All (-1)-lines, in the fixed order E1..Er < F12 < F13 < ... < G/G1..G6.
+    """All (-1)-lines, the ACM classes of degree 1, in the order E1..Er < F12 <
+    F13 < ... < G/G1..G6.
 
-    The plane and the quadric carry none; the blow-up of r points carries
-    exactly r + C(r,2) + C(r,5) of them.
+    A line a*l + sum(c_i e_i) has a = 0, 1 or 2: E_i = e_i, F_ij = l - e_i - e_j,
+    and G_j = 2l minus every e_i with i != j (G = 2l - e1 - ... - e5 on X5).
+    The label is "EFG"[a] followed by the indices with c_i != 0 (E, F) or
+    c_i = 0 (G); indices are single digits, so label order is the order
+    above.  The plane and the quadric carry none; the blow-up of r points
+    carries exactly r + C(r,2) + C(r,5) of them.
     """
-    if surface.kind == QUADRIC or surface.r == 0:
-        return ()
-    r = surface.r
-    l, *e = surface.units
-    lines = [LineClass(f"E{i + 1}", e[i]) for i in range(r)]
-    for i, j in itertools.combinations(range(r), 2):
-        lines.append(LineClass(f"F{i + 1}{j + 1}", l - e[i] - e[j]))
-    if r == 5:
-        lines.append(LineClass("G", 2 * l - e[0] - e[1] - e[2] - e[3] - e[4]))
-    if r == 6:
-        for j in range(6):
-            conic = 2 * l
-            for i in range(6):
-                if i != j:
-                    conic = conic - e[i]
-            lines.append(LineClass(f"G{j + 1}", conic))
-    return tuple(lines)
+    lines = []
+    for D in classes_of_degree(surface, 1):
+        a, *tail = D.coeffs
+        indices = "".join(str(i) for i, c in enumerate(tail, 1) if (c == 0) == (a == 2))
+        lines.append(LineClass("EFG"[a] + indices, D))
+    return tuple(sorted(lines, key=lambda L: L.label))
 
 
 # ---------------------------------------------------------------------------
@@ -70,8 +63,9 @@ def enumerate_lines(surface: SurfaceModel) -> tuple[LineClass, ...]:
 def _pairing_rows(surface: SurfaceModel, degrees: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """(N.u for u in the basis) for each ACM class N of the given degrees, so
     that D.N = sum(map(mul, D.coeffs, row))."""
-    catalog = enumerate_acm(surface)
-    return tuple(tuple(intersect(N, u) for u in surface.units) for N in catalog if degree(N) in degrees)
+    return tuple(
+        tuple(intersect(N, u) for u in surface.units) for c in degrees for N in classes_of_degree(surface, c)
+    )
 
 
 def is_effective(D: DivisorClass) -> bool:

@@ -19,7 +19,6 @@ import functools
 import re
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 from operator import mul
 
 from .errors import DivisorParseError, InternalError, SurfaceMismatch
@@ -228,9 +227,12 @@ def self_intersection(D: DivisorClass) -> int:
     return intersect(D, D)
 
 
-def arithmetic_genus(D: DivisorClass) -> Fraction:
+def arithmetic_genus(D: DivisorClass) -> int:
     """p_a(D) = (D^2 - deg D)/2 + 1; an integer for every lattice class."""
-    return Fraction(self_intersection(D) - degree(D), 2) + 1
+    twice = self_intersection(D) - degree(D)
+    if twice % 2 != 0:
+        raise InternalError(f"odd adjunction numerator for {D}")
+    return twice // 2 + 1
 
 
 def euler_characteristic(D: DivisorClass) -> int:
@@ -306,16 +308,13 @@ def parse_divisor(surface: SurfaceModel, text: str) -> DivisorClass:
     if i >= n:
         raise DivisorParseError("empty divisor text", i)
 
-    first = True
-    while True:
+    while True:  # entered at the first term, then only after a '+' or '-'
         sign = 1
         if text[i] == "+":
             i += 1
         elif text[i] == "-":
             sign = -1
             i += 1
-        elif not first:
-            raise DivisorParseError(f"expected '+' or '-' before {text[i]!r}", i)
         skip_ws()
         digit_start = i
         while i < n and "0" <= text[i] <= "9":  # ASCII only: str.isdigit accepts "²" and "٣"
@@ -338,7 +337,6 @@ def parse_divisor(surface: SurfaceModel, text: str) -> DivisorClass:
             coeff = sign * (int(digits) if digits else 1)
             for k, v in enumerate(vec):
                 coeffs[k] += coeff * v
-        first = False
         skip_ws()
         if i >= n:
             break

@@ -17,9 +17,10 @@ from .errors import (
     NotApplicable,
     NotFound,
     PreconditionViolated,
+    SurfaceMismatch,
     UnsupportedSurface,
 )
-from .acm import enumerate_acm, is_acm_initialized
+from .acm import classes_of_degree, is_acm_initialized
 from .picard import (
     DivisorClass,
     SurfaceModel,
@@ -146,7 +147,7 @@ def _make_pair(C: DivisorClass, D: DivisorClass) -> WildPair:
 def _wild_pairs(surface: SurfaceModel) -> Iterator[WildPair]:
     """Ordered pairs of distinct maximal-degree classes with C.D = 1 + d, in canonical order."""
     n = surface.degree
-    maximal = [D for D in enumerate_acm(surface) if degree(D) == n]
+    maximal = classes_of_degree(surface, n)
     for C in maximal:
         for D in maximal:
             if C != D and intersect(C, D) == 1 + n:
@@ -233,12 +234,16 @@ def family_plan(surface: SurfaceModel, n: int) -> FamilyPlan:
 
 
 def family_slope(surface: SurfaceModel, plan: FamilyPlan) -> int:
-    """Slope (total degree / rank) of every bundle in the plan: H^2.
+    """Slope (total degree / rank) of every bundle in the plan: H^2 of its surface.
 
     Every constituent line bundle O(C), O(D), O(E), O(F) is a maximal-degree
     ACM class, of degree H^2, so a rank-n bundle has total degree n H^2.
+    Raises SurfaceMismatch when ``surface`` is not the plan's surface.
     """
-    return surface.degree
+    plan_surface = plan.pair.C.surface
+    if surface != plan_surface:
+        raise SurfaceMismatch(f"the plan lives on {plan_surface}, not on {surface}")
+    return plan_surface.degree
 
 
 # ---------------------------------------------------------------------------

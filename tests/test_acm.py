@@ -91,6 +91,25 @@ def test_degree_count_table(surface):
     assert sum(table.values()) == TOTALS[surface.name]
 
 
+@pytest.mark.parametrize("surface", ALL_SURFACES, ids=str)
+def test_classes_of_degree_concatenate_to_the_enumeration(surface):
+    by_degree = [acm.classes_of_degree(surface, c) for c in range(surface.degree + 1)]
+    assert [D for classes in by_degree for D in classes] == enumerate_acm(surface)
+    assert all(degree(D) == c for c, classes in enumerate(by_degree) for D in classes)
+    assert {c: len(classes) for c, classes in enumerate(by_degree) if classes} == degree_count_table(surface)
+
+
+def test_classes_of_degree_outside_the_range_are_not_scanned(monkeypatch):
+    # the Hodge box grows with |c|: a degree outside 0..H^2 must not reach it
+    def no_scan(*args):
+        raise AssertionError("scanned a degree outside 0..H^2")
+
+    monkeypatch.setattr(acm, "_coefficient_range", no_scan)
+    for surface in ALL_SURFACES:
+        for c in (-1, -(10**6), surface.degree + 1, 10**6):
+            assert acm.classes_of_degree(surface, c) == ()
+
+
 def test_enumeration_is_sorted_and_duplicate_free():
     for surface in ALL_SURFACES:
         classes = enumerate_acm(surface)

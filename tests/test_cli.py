@@ -127,6 +127,24 @@ def test_classify_na_fields_in_text(capsys):
     assert "very_ample: n/a" in out
 
 
+def test_classify_text_report_in_order(capsys):
+    assert run(capsys, "classify", "X3", "3l-2e1-e2") == (
+        0,
+        "surface: X3\n"
+        "divisor: 3l-2e1-e2\n"
+        "degree: 6\n"
+        "self_intersection: 4\n"
+        "arithmetic_genus: 0\n"
+        "euler_characteristic: 6\n"
+        "effective: true\n"
+        "very_ample: false\n"
+        "smooth_member: true\n"
+        "acm_initialized: true\n"
+        "zero_regular: true\n",
+        "",
+    )
+
+
 # --- bounded input: huge coefficients ------------------------------------------------
 
 
@@ -324,10 +342,10 @@ def test_byte_identical_reruns(argv, capsys):
 
 @pytest.mark.parametrize("error", [InternalError("duplicate classes enumerated"), KeyError("boom")])
 def test_internal_error_exit_code(error, capsys, monkeypatch):
-    def broken(surface):
+    def broken(surface, c):
         raise error
 
-    monkeypatch.setattr(acm, "enumerate_acm", broken)
+    monkeypatch.setattr(acm, "classes_of_degree", broken)
     code, out, err = run(capsys, "table", "X6")
     assert code == 4
     assert out == ""

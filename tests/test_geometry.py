@@ -70,6 +70,29 @@ def test_lines_on_two_point_blowup():
     assert got == {"e1", "e2", "l-e1-e2"}
 
 
+def formula_lines(surface):
+    """The lines written out, in the order E1..Er < F12 < F13 < ... < G/G1..G6:
+    e_i, l - e_i - e_j, 2l - e1 - ... - e5 on X5 and 2l minus five of e1..e6 on X6."""
+    if surface.kind == "quadric" or surface.r == 0:
+        return []
+    l, *e = surface.units
+    r = surface.r
+    lines = [(f"E{i + 1}", e[i]) for i in range(r)]
+    for i, j in itertools.combinations(range(r), 2):
+        lines.append((f"F{i + 1}{j + 1}", l - e[i] - e[j]))
+    if r == 5:
+        lines.append(("G", 2 * l - sum(e, zero_class(surface))))
+    if r == 6:
+        for j in range(6):
+            lines.append((f"G{j + 1}", 2 * l - sum((e[i] for i in range(6) if i != j), zero_class(surface))))
+    return lines
+
+
+@pytest.mark.parametrize("surface", ALL_SURFACES, ids=str)
+def test_lines_match_the_formulas(surface):
+    assert [(L.label, L.divisor) for L in enumerate_lines(surface)] == formula_lines(surface)
+
+
 def test_line_order_is_label_lexicographic():
     labels = [L.label for L in enumerate_lines(X6)]
     assert labels[:6] == ["E1", "E2", "E3", "E4", "E5", "E6"]

@@ -127,6 +127,9 @@ def test_degree_examples():
 def test_genus_examples():
     assert arithmetic_genus(parse_divisor(X0, "l")) == 0
     assert arithmetic_genus(parse_divisor(X0, "3l")) == 1
+    for surface in ALL_SURFACES:
+        for D in (zero_class(surface), hyperplane(surface), -3 * hyperplane(surface)):
+            assert type(arithmetic_genus(D)) is int
 
 
 @pytest.mark.parametrize("surface", ALL_SURFACES, ids=str)

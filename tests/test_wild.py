@@ -4,6 +4,7 @@ from delpezzo import (
     NotApplicable,
     NotFound,
     PreconditionViolated,
+    SurfaceMismatch,
     UnsupportedSurface,
     blow_up,
     degree,
@@ -212,6 +213,14 @@ def test_family_slope_examples():
     assert family_slope(X3, family_plan(X3, 2)) == 6
     assert family_slope(X6, family_plan(X6, 7)) == 3
     assert family_slope(X4, family_plan(X4, 9)) == 5
+
+
+def test_family_slope_rejects_another_surface():
+    # the X6 plan has slope 3 whatever surface is passed beside it
+    with pytest.raises(SurfaceMismatch):
+        family_slope(X3, family_plan(X6, 2))
+    with pytest.raises(SurfaceMismatch):
+        family_slope(X2, family_plan(X5, 3))
 
 
 # --- 0-regularity -----------------------------------------------------------------------
