@@ -17,12 +17,7 @@ import os
 import sys
 
 from . import acm, geometry, goldens, wild
-from .errors import (
-    DivisorParseError,
-    NotFound,
-    PreconditionViolated,
-    UnsupportedSurface,
-)
+from .errors import NotFound, PreconditionViolated, UnsupportedSurface
 from .picard import (
     SURFACE_NAMES,
     DivisorClass,
@@ -213,9 +208,7 @@ def cmd_wild(args: argparse.Namespace) -> int:
         return _fail(f"rank must be at least 2, got {args.rank}", USAGE_ERROR)
     try:
         plan = wild.family_plan(surface, args.rank)
-    except UnsupportedSurface as exc:
-        return _fail(str(exc), OUT_OF_SCOPE)
-    except NotFound as exc:  # degree <= 6 guarantees a pair; keep a honest path
+    except (UnsupportedSurface, NotFound) as exc:  # NotFound: degree <= 6 guarantees a pair
         return _fail(str(exc), OUT_OF_SCOPE)
     pair = plan.pair
     relations = dict(zip(("CE", "DF", "CD", "EF", "DE", "CF"), pair.relation_block()))
@@ -357,9 +350,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(_divisor_behind_dashes(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
-    except DivisorParseError as exc:
-        return _fail(str(exc), USAGE_ERROR)
-    except ValueError as exc:  # bad surface name and similar input errors
+    except ValueError as exc:  # parse errors, bad surface names and similar input errors
         return _fail(str(exc), USAGE_ERROR)
     except Exception as exc:  # InternalError or any other escape is a bug: one line, no traceback
         print(f"acm: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

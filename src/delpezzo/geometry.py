@@ -19,11 +19,10 @@ from .picard import (
     BLOWUP,
     DivisorClass,
     SurfaceModel,
+    arithmetic_genus,
     canonical_class,
-    degree,
     hyperplane,
     intersect,
-    self_intersection,
 )
 
 
@@ -117,7 +116,8 @@ def has_smooth_nonline_member(D: DivisorClass) -> bool:
 def h1_initialized_twist(D: DivisorClass) -> int:
     """h^1 of the first negative twist of an initialized effective class.
 
-    Equals (D.H - D^2)/2 - 1, hence 0 exactly on classes with D^2 = D.H - 2.
+    Equals (D.H - D^2)/2 - 1 = -p_a(D), hence 0 exactly on classes with
+    D^2 = D.H - 2.
     """
     if D.is_zero:
         raise PreconditionViolated("needs a nonzero class")
@@ -125,10 +125,7 @@ def h1_initialized_twist(D: DivisorClass) -> int:
         raise PreconditionViolated(f"{D} is not effective")
     if is_effective(D - hyperplane(D.surface)):
         raise PreconditionViolated(f"{D} is not initialized: {D - hyperplane(D.surface)} is effective")
-    numerator = degree(D) - self_intersection(D)
-    if numerator % 2 != 0:
-        raise InternalError(f"odd parity of D.H - D^2 for {D}")
-    return numerator // 2 - 1
+    return -arithmetic_genus(D)
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +256,5 @@ def _assemble(D: DivisorClass, frame: tuple[DivisorClass, ...]) -> BaseDecomposi
     b = [intersect(D, ec) for ec in frame]
     if any(b[i] < b[i + 1] for i in range(r - 1)):
         raise InternalError("exceptional frame is not sorted by multiplicity")
-    alpha0 = a - b[0] - b[1] if r <= 4 else a - b[0] - b[1] - b[4]
-    alphas = (alpha0,) + tuple(b[i] - b[i + 1] for i in range(r - 1)) + (b[r - 1],)
-    return BaseDecomposition(frame, alphas)
+    tail = tuple(b[i] - b[i + 1] for i in range(r - 1)) + (b[r - 1],)
+    return BaseDecomposition(frame, (a - sum(map(mul, _BASE_L_COEFF[1:], tail)),) + tail)

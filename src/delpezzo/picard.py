@@ -273,75 +273,50 @@ def from_ruled(coords: RuledCoords) -> DivisorClass:
 # ---------------------------------------------------------------------------
 # divisor text grammar: "3l-2e1-e2", "h+3m", "2C0+3f", "0"
 
-_SYMBOL = re.compile(r"C0|e[0-9]+|l|f|h|m")
-
-
-def _symbol_vector(surface: SurfaceModel, sym: str, pos: int) -> tuple[int, ...]:
-    key = f"e{int(sym[1:])}" if sym[0] == "e" else sym
-    try:
-        return surface.symbols[key]
-    except KeyError:
-        raise DivisorParseError(f"unknown basis symbol {sym!r} on {surface}", pos) from None
+# One term: [sign] [digits] [symbol], whitespace anywhere.  [0-9], not \d:
+# digits are ASCII only (\d and str.isdigit accept "²" and "٣"); \s accepts
+# exactly what str.isspace does.
+_TERM = re.compile(r"([+-]?)\s*([0-9]*)\s*(?:(C0|e[0-9]+|l|f|h|m)\s*)?")
 
 
 def parse_divisor(surface: SurfaceModel, text: str) -> DivisorClass:
     """Parse divisor text into a class on ``surface``.
 
-    Whitespace is ignored, terms may appear in any order and repeated basis
-    symbols are summed.  Unknown symbols for the surface are errors, not
+    The text is a sum of terms ``[sign] [digits] [symbol]``; every term after
+    the first starts with '+' or '-'.  Whitespace is ignored, terms may appear
+    in any order, repeated basis symbols are summed and a bare ``0`` term
+    contributes nothing.  Unknown symbols for the surface are errors, not
     zeros; errors carry the character position of the offending token.
     Coefficients have at most (limit - 1) // 2 digits for the int-to-str
     limit ``sys.get_int_max_str_digits()``, so that D^2, chi and the genus,
-    at most 7 times a squared coefficient, can be printed.
+    at most 7 times a squared coefficient, can be printed; interpreters
+    without that function (before 3.10.7) have no limit.
     """
-    limit = sys.get_int_max_str_digits()
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     max_digits = (limit - 1) // 2 if limit else sys.maxsize
     coeffs = [0] * surface.rank
-    i, n = 0, len(text)
-
-    def skip_ws() -> None:
-        nonlocal i
-        while i < n and text[i].isspace():
-            i += 1
-
-    skip_ws()
-    if i >= n:
-        raise DivisorParseError("empty divisor text", i)
-
-    while True:  # entered at the first term, then only after a '+' or '-'
-        sign = 1
-        if text[i] == "+":
-            i += 1
-        elif text[i] == "-":
-            sign = -1
-            i += 1
-        skip_ws()
-        digit_start = i
-        while i < n and "0" <= text[i] <= "9":  # ASCII only: str.isdigit accepts "²" and "٣"
-            i += 1
-        digits = text[digit_start:i]
+    pos, n = len(text) - len(text.lstrip()), len(text)
+    if pos == n:
+        raise DivisorParseError("empty divisor text", n)
+    while pos < n:
+        m = _TERM.match(text, pos)
+        sign, digits, sym = m.groups()
         if len(digits) > max_digits:
-            raise DivisorParseError(f"coefficient has more than {max_digits} digits", digit_start)
-        skip_ws()
-        m = _SYMBOL.match(text, i)
-        if m is None:
-            if digits and int(digits) == 0:
-                pass  # a bare 0 term contributes nothing
-            elif digits:
-                raise DivisorParseError(f"coefficient {digits} lacks a basis symbol", i)
-            else:
-                raise DivisorParseError("expected a term", digit_start)
-        else:
-            vec = _symbol_vector(surface, m.group(), i)
-            i = m.end()
-            coeff = sign * (int(digits) if digits else 1)
+            raise DivisorParseError(f"coefficient has more than {max_digits} digits", m.start(2))
+        if sym is not None:
+            vec = surface.symbols.get(f"e{int(sym[1:])}" if sym[0] == "e" else sym)
+            if vec is None:
+                raise DivisorParseError(f"unknown basis symbol {sym!r} on {surface}", m.start(3))
+            coeff = int(sign + (digits or "1"))
             for k, v in enumerate(vec):
                 coeffs[k] += coeff * v
-        skip_ws()
-        if i >= n:
-            break
-        if text[i] not in "+-":
-            raise DivisorParseError(f"unexpected {text[i]!r} after term", i)
+        elif not digits:
+            raise DivisorParseError("expected a term", m.start(2))
+        elif int(digits):
+            raise DivisorParseError(f"coefficient {digits} lacks a basis symbol", m.end())
+        pos = m.end()
+        if pos < n and text[pos] not in "+-":
+            raise DivisorParseError(f"unexpected {text[pos]!r} after term", pos)
     if any(len(str(abs(c))) > max_digits for c in coeffs):
         raise DivisorParseError(f"a summed coefficient has more than {max_digits} digits", 0)
     return DivisorClass(surface, tuple(coeffs))

@@ -218,6 +218,8 @@ def test_h1_twist_vanishes_on_acm_classes():
 
 def test_h1_twist_examples():
     assert h1_initialized_twist(parse_divisor(X1, "2l-e1")) == 0
+    assert h1_initialized_twist(parse_divisor(X2, "2l-2e1-2e2")) == 2
+    assert h1_initialized_twist(parse_divisor(X2, "2l-2e1")) == 1
     with pytest.raises(PreconditionViolated):
         h1_initialized_twist(parse_divisor(X0, "3l"))  # equals H, not initialized
     with pytest.raises(PreconditionViolated):

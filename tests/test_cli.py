@@ -194,6 +194,14 @@ def test_classify_huge_multiple_of_h(capsys):
     }
 
 
+def test_classify_without_an_int_to_str_limit(capsys, monkeypatch):
+    # Python 3.10.0-3.10.6 lack the function and have no limit to cap
+    monkeypatch.delattr(sys, "get_int_max_str_digits")
+    code, out, err = run(capsys, "classify", "X3", "3l-2e1-e2")
+    assert (code, err) == (0, "")
+    assert parse_divisor(surface_from_name("X3"), "9" * 3000 + "l").coeffs == (10**3000 - 1, 0, 0, 0)
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_classify_coefficient_too_long_to_print(fmt, capsys):
     # D^2 of a (2m+1)-digit coefficient would exceed the int-to-str limit

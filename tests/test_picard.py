@@ -223,6 +223,39 @@ def test_parse_errors_carry_position():
         parse_divisor(X3, "5")
 
 
+# (surface, text, coefficients or (message, position)), recorded with the
+# former character scanner
+PARSE_TABLE = [
+    (X3, "\xa0l -\x1ce1\xa0", (1, -1, 0, 0)),  # NBSP and U+001C are whitespace
+    (X3, "3l\t-e1\t-e2", (3, -1, -1, 0)),
+    (X1, "e01", (0, 1)),
+    (X3, "- 12 e03", (0, 0, 0, -12)),
+    (X3, "0", (0, 0, 0, 0)),
+    (X3, "00l", (0, 0, 0, 0)),
+    (X3, "l+0", (1, 0, 0, 0)),
+    (Q, "0 h - 0", (0, 0)),
+    (X3, "3e", ("coefficient 3 lacks a basis symbol", 1)),
+    (X3, "3 + -l", ("coefficient 3 lacks a basis symbol", 2)),
+    (X3, "l 3", ("unexpected '3' after term", 2)),
+    (X3, "+", ("expected a term", 1)),
+    (X3, "l+", ("expected a term", 2)),
+    (X6, "e0", ("unknown basis symbol 'e0' on X6", 0)),
+    (X3, "l - 2 e7", ("unknown basis symbol 'e7' on X3", 6)),
+    (X3, " \t", ("empty divisor text", 2)),
+]
+
+
+@pytest.mark.parametrize("surface, text, expected", PARSE_TABLE, ids=[f"{s}:{t!r}" for s, t, _ in PARSE_TABLE])
+def test_parse_table(surface, text, expected):
+    if isinstance(expected[0], int):
+        assert parse_divisor(surface, text).coeffs == expected
+        return
+    message, position = expected
+    with pytest.raises(DivisorParseError) as err:
+        parse_divisor(surface, text)
+    assert (str(err.value), err.value.position) == (f"{message} (at position {position})", position)
+
+
 @pytest.mark.parametrize("text, position", [("²l", 0), ("٣l", 0), ("3l-²e1", 3), ("l+e١", 2)])
 def test_parse_rejects_non_ascii_digits(text, position):
     with pytest.raises(DivisorParseError) as err:
