@@ -214,6 +214,4 @@ def ambient_dimension(D: DivisorClass) -> int:
 
 def h0_hyperplane_residual(D: DivisorClass) -> int:
     """Independent hyperplanes through the curve: h^0(H - D) = H^2 - deg D."""
-    c = ambient_dimension(D)
-    n = D.surface.degree
-    return n - c if c < n else 0
+    return D.surface.degree - ambient_dimension(D)

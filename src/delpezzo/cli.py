@@ -1,11 +1,21 @@
 """Command-line front end: lines, classify, table, wild, verify.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
-3 request outside the supported surface range, 4 internal error (a bug,
-reported on one line).  Divisor text may start with '-' (``acm classify X3
--l+e1``).  JSON output is emitted with sorted keys and a stable layout so
-identical invocations are byte-identical; the schema ships at
-schemas/acm-output.schema.json.
+Each ``cmd_*`` function maps the parsed arguments to its JSON payload, the
+dict that ``--format json`` emits, and never prints.  Each ``text_*``
+function is the text view of one payload: it yields the text lines and reads
+nothing but the payload, so both formats show the same fields.  ``main`` is
+the only place that knows about formats and exit codes:
+
+    0  success
+    1  verification failure (the payload's ``ok`` is false)
+    2  usage or parse error (``ValueError``)
+    3  request outside the supported surface range (``UnsupportedSurface``,
+       ``NotFound``)
+    4  internal error: any other exception, a bug, reported on one line
+
+Divisor text may start with '-' (``acm classify X3 -l+e1``).  JSON output is
+emitted with sorted keys and a stable layout so identical invocations are
+byte-identical; the schema ships at schemas/acm-output.schema.json.
 """
 
 from __future__ import annotations
@@ -15,6 +25,7 @@ import gc
 import json
 import os
 import sys
+from collections.abc import Iterator
 
 from . import acm, geometry, goldens, wild
 from .errors import NotFound, PreconditionViolated, UnsupportedSurface
@@ -39,10 +50,6 @@ OK, VERIFY_FAILED, USAGE_ERROR, OUT_OF_SCOPE, INTERNAL_ERROR = 0, 1, 2, 3, 4
 gc.freeze()
 
 
-def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
-
-
 def _fail(message: str, code: int) -> int:
     print(f"acm: error: {message}", file=sys.stderr)
     return code
@@ -52,25 +59,21 @@ def _fail(message: str, code: int) -> int:
 # lines
 
 
-def cmd_lines(args: argparse.Namespace) -> int:
+def cmd_lines(args: argparse.Namespace) -> dict:
     surface = surface_from_name(args.surface)
     lines = geometry.enumerate_lines(surface)
-    if args.format == "json":
-        _emit_json(
-            {
-                "command": "lines",
-                "surface": surface.name,
-                "count": len(lines),
-                "lines": [
-                    {"label": L.label, "divisor": format_divisor(L.divisor)} for L in lines
-                ],
-            }
-        )
-    else:
-        for L in lines:
-            print(f"{L.label}\t{format_divisor(L.divisor)}")
-        print(f"{len(lines)} lines on {surface.name}")
-    return OK
+    return {
+        "command": "lines",
+        "surface": surface.name,
+        "count": len(lines),
+        "lines": [{"label": L.label, "divisor": format_divisor(L.divisor)} for L in lines],
+    }
+
+
+def text_lines(p: dict) -> Iterator[str]:
+    for line in p["lines"]:
+        yield f"{line['label']}\t{line['divisor']}"
+    yield f"{p['count']} lines on {p['surface']}"
 
 
 # ---------------------------------------------------------------------------
@@ -102,187 +105,144 @@ def _classify_report(D: DivisorClass) -> dict:
     return report
 
 
-def cmd_classify(args: argparse.Namespace) -> int:
+def cmd_classify(args: argparse.Namespace) -> dict:
     surface = surface_from_name(args.surface)
     D = parse_divisor(surface, args.divisor)
-    report = _classify_report(D)
-    if args.format == "json":
-        _emit_json(
-            {
-                "command": "classify",
-                "surface": surface.name,
-                "divisor": format_divisor(D),
-                "report": report,
-            }
-        )
-    else:
-        print(f"surface: {surface.name}")
-        print(f"divisor: {format_divisor(D)}")
-        for key, value in report.items():
-            if value is None:
-                text = "n/a"
-            elif isinstance(value, bool):
-                text = "true" if value else "false"
-            else:
-                text = str(value)
-            print(f"{key}: {text}")
-    return OK
+    return {
+        "command": "classify",
+        "surface": surface.name,
+        "divisor": format_divisor(D),
+        "report": _classify_report(D),
+    }
+
+
+def text_classify(p: dict) -> Iterator[str]:
+    yield f"surface: {p['surface']}"
+    yield f"divisor: {p['divisor']}"
+    for key, value in p["report"].items():
+        text = "n/a" if value is None else str(value).lower() if isinstance(value, bool) else value
+        yield f"{key}: {text}"
 
 
 # ---------------------------------------------------------------------------
 # table
 
 
-def _table_rows() -> tuple[list[dict], dict[str, int]]:
-    rows = []
-    totals: dict[str, int] = {}
-    tables = {}
-    for name in SURFACE_NAMES:
-        surface = surface_from_name(name)
-        tables[name] = acm.degree_count_table(surface)
-        totals[name] = sum(tables[name].values())
-    for d in range(10):
-        counts = {}
-        for name in SURFACE_NAMES:
-            surface = surface_from_name(name)
-            if d <= surface.degree:
-                counts[name] = tables[name].get(d, 0)
-        rows.append({"degree": d, "counts": counts})
-    return rows, totals
-
-
-def cmd_table(args: argparse.Namespace) -> int:
-    spec = args.surface
-    if spec.lower() == "all":
-        rows, totals = _table_rows()
-        if args.format == "json":
-            _emit_json(
-                {
-                    "command": "table",
-                    "surface": "all",
-                    "surfaces": list(SURFACE_NAMES),
-                    "rows": rows,
-                    "totals": totals,
-                }
-            )
-        else:
-            width = 5
-            header = "d".rjust(3) + "".join(name.rjust(width) for name in SURFACE_NAMES)
-            print(header)
-            for row in rows:
-                cells = "".join(
-                    str(row["counts"][name]).rjust(width) if name in row["counts"] else " " * width
-                    for name in SURFACE_NAMES
-                )
-                print(str(row["degree"]).rjust(3) + cells)
-            print("Tot".rjust(3) + "".join(str(totals[name]).rjust(width) for name in SURFACE_NAMES))
-        return OK
-
-    surface = surface_from_name(spec)
-    counts = acm.degree_count_table(surface)
-    total = sum(counts.values())
-    if args.format == "json":
-        _emit_json(
+def cmd_table(args: argparse.Namespace) -> dict:
+    if args.surface.lower() == "all":
+        surfaces = [surface_from_name(name) for name in SURFACE_NAMES]
+        tables = [acm.degree_count_table(s) for s in surfaces]
+        rows = [
             {
-                "command": "table",
-                "surface": surface.name,
-                "counts": {str(d): c for d, c in counts.items()},
-                "total": total,
+                "degree": d,
+                "counts": {s.name: t.get(d, 0) for s, t in zip(surfaces, tables) if d <= s.degree},
             }
-        )
-    else:
-        print("d".rjust(3) + "count".rjust(7))
-        for d, c in counts.items():
-            print(str(d).rjust(3) + str(c).rjust(7))
-        print("Tot".rjust(3) + str(total).rjust(7))
-    return OK
+            for d in range(10)
+        ]
+        return {
+            "command": "table",
+            "surface": "all",
+            "surfaces": list(SURFACE_NAMES),
+            "rows": rows,
+            "totals": {s.name: sum(t.values()) for s, t in zip(surfaces, tables)},
+        }
+    surface = surface_from_name(args.surface)
+    counts = acm.degree_count_table(surface)
+    return {
+        "command": "table",
+        "surface": surface.name,
+        "counts": {str(d): c for d, c in counts.items()},
+        "total": sum(counts.values()),
+    }
+
+
+def _row(first: object, cells: list, width: int) -> str:
+    return str(first).rjust(3) + "".join(str(c).rjust(width) for c in cells)
+
+
+def text_table(p: dict) -> Iterator[str]:
+    if p["surface"] == "all":
+        names = p["surfaces"]
+        yield _row("d", names, 5)
+        for row in p["rows"]:
+            yield _row(row["degree"], [row["counts"].get(name, "") for name in names], 5)
+        yield _row("Tot", [p["totals"][name] for name in names], 5)
+        return
+    yield _row("d", ["count"], 7)
+    for d, c in p["counts"].items():
+        yield _row(d, [c], 7)
+    yield _row("Tot", [p["total"]], 7)
 
 
 # ---------------------------------------------------------------------------
 # wild
 
 
-def cmd_wild(args: argparse.Namespace) -> int:
+def cmd_wild(args: argparse.Namespace) -> dict:
     surface = surface_from_name(args.surface)
-    if args.rank < 2:
-        return _fail(f"rank must be at least 2, got {args.rank}", USAGE_ERROR)
-    try:
-        plan = wild.family_plan(surface, args.rank)
-    except (UnsupportedSurface, NotFound) as exc:  # NotFound: degree <= 6 guarantees a pair
-        return _fail(str(exc), OUT_OF_SCOPE)
+    if args.rank < 2:  # before family_plan, whose surface check would answer 3
+        raise ValueError(f"rank must be at least 2, got {args.rank}")
+    plan = wild.family_plan(surface, args.rank)  # NotFound: degree <= 6 guarantees a pair
     pair = plan.pair
-    relations = dict(zip(("CE", "DF", "CD", "EF", "DE", "CF"), pair.relation_block()))
-    slope = wild.family_slope(surface, plan)
-    schedule = [
-        {
-            "sub": step.sub,
-            "quotient": format_divisor(step.quotient),
-            "ext1_dim": step.ext1_dim,
-            "repeat": step.repeat,
-        }
-        for step in plan.schedule
-    ]
-    if args.format == "json":
-        _emit_json(
+    return {
+        "command": "wild",
+        "surface": surface.name,
+        "rank": plan.rank,
+        "shape": plan.shape,
+        "m": plan.m,
+        "pair": {label: format_divisor(getattr(pair, label)) for label in "CDEF"},
+        "relations": dict(zip(("CE", "DF", "CD", "EF", "DE", "CF"), pair.relation_block())),
+        "schedule": [
             {
-                "command": "wild",
-                "surface": surface.name,
-                "rank": plan.rank,
-                "shape": plan.shape,
-                "m": plan.m,
-                "pair": {
-                    "C": format_divisor(pair.C),
-                    "D": format_divisor(pair.D),
-                    "E": format_divisor(pair.E),
-                    "F": format_divisor(pair.F),
-                },
-                "relations": relations,
-                "schedule": schedule,
-                "param_dim": plan.param_dim,
-                "slope": slope,
+                "sub": step.sub,
+                "quotient": format_divisor(step.quotient),
+                "ext1_dim": step.ext1_dim,
+                "repeat": step.repeat,
             }
+            for step in plan.schedule
+        ],
+        "param_dim": plan.param_dim,
+        "slope": wild.family_slope(surface, plan),
+    }
+
+
+def text_wild(p: dict) -> Iterator[str]:
+    # the degree is not a payload field: the schema admits no extra key
+    yield f"surface: {p['surface']} (degree {surface_from_name(p['surface']).degree})"
+    yield f"rank: {p['rank']} ({p['shape']}" + (f", m={p['m']})" if p["m"] is not None else ")")
+    yield "pair:"
+    for label, text in p["pair"].items():
+        yield f"  {label} = {text}"
+    yield "relations (1 + X.Y - d): " + "  ".join(f"{k}={v}" for k, v in p["relations"].items())
+    yield "schedule:"
+    for k, step in enumerate(p["schedule"], 1):
+        times = f" x{step['repeat']}" if step["repeat"] > 1 else ""
+        yield (
+            f"  {k}. 0 -> {step['sub']} -> ? -> O({step['quotient']}) -> 0"
+            f"   dim Ext1 = {step['ext1_dim']}{times}"
         )
-    else:
-        print(f"surface: {surface.name} (degree {surface.degree})")
-        print(f"rank: {plan.rank} ({plan.shape}" + (f", m={plan.m})" if plan.m is not None else ")"))
-        print("pair:")
-        for label, cls in (("C", pair.C), ("D", pair.D), ("E", pair.E), ("F", pair.F)):
-            print(f"  {label} = {format_divisor(cls)}")
-        print("relations (1 + X.Y - d): " + "  ".join(f"{k}={v}" for k, v in relations.items()))
-        print("schedule:")
-        for k, step in enumerate(plan.schedule, 1):
-            times = f" x{step.repeat}" if step.repeat > 1 else ""
-            print(
-                f"  {k}. 0 -> {step.sub} -> ? -> O({format_divisor(step.quotient)}) -> 0"
-                f"   dim Ext1 = {step.ext1_dim}{times}"
-            )
-        print(f"param_dim: {plan.param_dim}")
-        print(f"slope: {slope}")
-    return OK
+    yield f"param_dim: {p['param_dim']}"
+    yield f"slope: {p['slope']}"
 
 
 # ---------------------------------------------------------------------------
 # verify
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> dict:
     golden_dir = args.golden
     if not os.path.isdir(golden_dir):
-        return _fail(f"golden directory {golden_dir!r} does not exist", USAGE_ERROR)
+        raise ValueError(f"golden directory {golden_dir!r} does not exist")
     missing = goldens.missing_golden_files(golden_dir)
     if missing:
-        return _fail(
-            f"missing golden files in {golden_dir!r}: " + ", ".join(f"{m}.tsv" for m in missing),
-            USAGE_ERROR,
-        )
+        raise ValueError(f"missing golden files in {golden_dir!r}: " + ", ".join(f"{m}.tsv" for m in missing))
     ok, report = goldens.run_verification(golden_dir)
-    if args.format == "json":
-        _emit_json({"command": "verify", "golden_dir": str(golden_dir), "ok": ok, "report": report})
-    else:
-        for line in report:
-            print(line)
-        print("ok" if ok else "FAILED")
-    return OK if ok else VERIFY_FAILED
+    return {"command": "verify", "golden_dir": golden_dir, "ok": ok, "report": report}
+
+
+def text_verify(p: dict) -> Iterator[str]:
+    yield from p["report"]
+    yield "ok" if p["ok"] else "FAILED"
 
 
 # ---------------------------------------------------------------------------
@@ -302,29 +262,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_lines = sub.add_parser("lines", help="enumerate the (-1)-lines of a surface")
     p_lines.add_argument("surface")
     add_format(p_lines)
-    p_lines.set_defaults(func=cmd_lines)
+    p_lines.set_defaults(func=cmd_lines, view=text_lines)
 
     p_classify = sub.add_parser("classify", help="numerical report for a divisor class")
     p_classify.add_argument("surface")
     p_classify.add_argument("divisor")
     add_format(p_classify)
-    p_classify.set_defaults(func=cmd_classify)
+    p_classify.set_defaults(func=cmd_classify, view=text_classify)
 
     p_table = sub.add_parser("table", help="per-degree counts of ACM classes")
     p_table.add_argument("surface", help="a surface name or 'all'")
     add_format(p_table)
-    p_table.set_defaults(func=cmd_table)
+    p_table.set_defaults(func=cmd_table, view=text_table)
 
     p_wild = sub.add_parser("wild", help="wild pair and rank-n family plan")
     p_wild.add_argument("surface")
     p_wild.add_argument("--rank", type=int, required=True)
     add_format(p_wild)
-    p_wild.set_defaults(func=cmd_wild)
+    p_wild.set_defaults(func=cmd_wild, view=text_wild)
 
     p_verify = sub.add_parser("verify", help="regression-check enumeration against golden files")
     p_verify.add_argument("--golden", default="golden", help="directory of golden .tsv files")
     add_format(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
+    p_verify.set_defaults(func=cmd_verify, view=text_verify)
 
     return parser
 
@@ -349,12 +309,20 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_divisor_behind_dashes(sys.argv[1:] if argv is None else list(argv)))
     try:
-        return args.func(args)
+        payload = args.func(args)
+        if args.format == "json":
+            print(json.dumps(payload, indent=2, sort_keys=True))
+        else:
+            for line in args.view(payload):
+                print(line)
+    except (UnsupportedSurface, NotFound) as exc:
+        return _fail(str(exc), OUT_OF_SCOPE)
     except ValueError as exc:  # parse errors, bad surface names and similar input errors
         return _fail(str(exc), USAGE_ERROR)
     except Exception as exc:  # InternalError or any other escape is a bug: one line, no traceback
         print(f"acm: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return INTERNAL_ERROR
+    return OK if payload.get("ok", True) else VERIFY_FAILED
 
 
 def run() -> None:

@@ -304,7 +304,7 @@ def parse_divisor(surface: SurfaceModel, text: str) -> DivisorClass:
         if len(digits) > max_digits:
             raise DivisorParseError(f"coefficient has more than {max_digits} digits", m.start(2))
         if sym is not None:
-            vec = surface.symbols.get(f"e{int(sym[1:])}" if sym[0] == "e" else sym)
+            vec = surface.symbols.get("e" + sym[1:].lstrip("0") if sym[0] == "e" else sym)
             if vec is None:
                 raise DivisorParseError(f"unknown basis symbol {sym!r} on {surface}", m.start(3))
             coeff = int(sign + (digits or "1"))

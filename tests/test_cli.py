@@ -324,6 +324,116 @@ def test_module_entry_point_runs_the_cli(tmp_path):
     assert "does not exist" in result.stderr
 
 
+# --- text output, byte for byte ------------------------------------------------------
+
+# (argv, exit code, stdout, stderr), recorded before the text views were
+# rendered from the JSON payloads; verify pins its last two stdout lines only
+# and MISSING stands for a directory that does not exist
+TEXT_PINS = [
+    (
+        ("lines", "X2"),
+        0,
+        "E1\te1\n"
+        "E2\te2\n"
+        "F12\tl-e1-e2\n"
+        "3 lines on X2\n",
+        "",
+    ),
+    (("lines", "Q"), 0, "0 lines on Q\n", ""),
+    (
+        ("table", "X5"),
+        0,
+        "  d  count\n"
+        "  0      1\n"
+        "  1     16\n"
+        "  2     10\n"
+        "  3     16\n"
+        "  4     40\n"
+        "Tot     83\n",
+        "",
+    ),
+    (
+        ("table", "all"),
+        0,
+        "  d   X0   X1   X2   X3   X4   X5   X6    Q\n"
+        "  0    1    1    1    1    1    1    1    1\n"
+        "  1    0    1    3    6   10   16   27    0\n"
+        "  2    0    1    2    3    5   10   27    2\n"
+        "  3    1    1    1    2    5   16   72    0\n"
+        "  4    0    0    1    3   10   40         1\n"
+        "  5    0    1    2    6   20              0\n"
+        "  6    1    1    3    8                   2\n"
+        "  7    0    1    2                        0\n"
+        "  8    0    0                             2\n"
+        "  9    0                                   \n"
+        "Tot    3    7   15   29   51   83  127    8\n",
+        "",
+    ),
+    (
+        ("wild", "X6", "--rank", "7"),
+        0,
+        "surface: X6 (degree 3)\n"
+        "rank: 7 (odd, m=3)\n"
+        "pair:\n"
+        "  C = l\n"
+        "  D = 4l-2e1-2e2-2e3-e4-e5-e6\n"
+        "  E = 5l-2e1-2e2-2e3-2e4-2e5-2e6\n"
+        "  F = 2l-e4-e5-e6\n"
+        "relations (1 + X.Y - d): CE=3  DF=3  CD=2  EF=2  DE=0  CF=0\n"
+        "schedule:\n"
+        "  1. 0 -> O(l) -> ? -> O(4l-2e1-2e2-2e3-e4-e5-e6) -> 0   dim Ext1 = 2 x3\n"
+        "  2. 0 -> E1 + E2 + E3 -> ? -> O(5l-2e1-2e2-2e3-2e4-2e5-2e6) -> 0   dim Ext1 = 9\n"
+        "param_dim: 6\n"
+        "slope: 3\n",
+        "",
+    ),
+    (
+        ("wild", "X3", "--rank", "2"),
+        0,
+        "surface: X3 (degree 6)\n"
+        "rank: 2 (rank2)\n"
+        "pair:\n"
+        "  C = 3l-2e1-e2\n"
+        "  D = 3l-e1-2e3\n"
+        "  E = 3l-e2-2e3\n"
+        "  F = 3l-e1-2e2\n"
+        "relations (1 + X.Y - d): CE=3  DF=3  CD=2  EF=2  DE=0  CF=0\n"
+        "schedule:\n"
+        "  1. 0 -> O(3l-e2-2e3) -> ? -> O(3l-2e1-e2) -> 0   dim Ext1 = 3\n"
+        "param_dim: 2\n"
+        "slope: 6\n",
+        "",
+    ),
+    (("verify", "--golden", GOLDEN_DIR), 0, "Q: 8 classes verified\nok\n", ""),
+    (("wild", "X0", "--rank", "1"), 2, "", "acm: error: rank must be at least 2, got 1\n"),
+    (
+        ("wild", "Q", "--rank", "2", "--format", "json"),
+        3,
+        "",
+        "acm: error: the family construction needs degree <= 6, Q has degree 8\n",
+    ),
+    (
+        ("verify", "--golden", "MISSING", "--format", "json"),
+        2,
+        "",
+        "acm: error: golden directory 'MISSING' does not exist\n",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    TEXT_PINS,
+    ids=["_".join(a if a != GOLDEN_DIR else "golden" for a in argv) for argv, *_ in TEXT_PINS],
+)
+def test_text_output_pinned(argv, code, out, err, tmp_path, capsys):
+    missing = str(tmp_path / "nope")
+    got_code, got_out, got_err = run(capsys, *(missing if a == "MISSING" else a for a in argv))
+    if argv[0] == "verify" and code == 0:
+        got_out = "".join(got_out.splitlines(keepends=True)[-2:])
+    assert (got_code, got_out, got_err) == (code, out, err.replace("MISSING", missing))
+
+
 # --- determinism --------------------------------------------------------------------
 
 

@@ -256,6 +256,16 @@ def test_parse_table(surface, text, expected):
     assert (str(err.value), err.value.position) == (f"{message} (at position {position})", position)
 
 
+def test_parse_indices_longer_than_the_int_to_str_limit():
+    # the index is looked up as text, so its length meets no int-to-str limit
+    text = "e" + "1" * 5000
+    with pytest.raises(DivisorParseError) as err:
+        parse_divisor(X6, text)
+    assert (str(err.value), err.value.position) == (f"unknown basis symbol {text!r} on X6 (at position 0)", 0)
+    assert parse_divisor(X6, "e" + "0" * 4999 + "1").coeffs == (0, 1, 0, 0, 0, 0, 0)
+    assert parse_divisor(X6, "e" + "0" * 4000 + "1") == parse_divisor(X6, "e1")
+
+
 @pytest.mark.parametrize("text, position", [("²l", 0), ("٣l", 0), ("3l-²e1", 3), ("l+e١", 2)])
 def test_parse_rejects_non_ascii_digits(text, position):
     with pytest.raises(DivisorParseError) as err:
