@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import lru_cache
 from operator import mul
 
@@ -127,13 +126,10 @@ def enumerate_acm(surface: SurfaceModel) -> list[DivisorClass]:
 # closed-form catalog (independent of the box scan)
 
 
-@dataclass(frozen=True)
-class AcmRecord:
+class AcmRecord(namedtuple("AcmRecord", "canonical degree orbit_count")):
     """One catalog row: a representative class, its degree and its orbit size."""
 
-    canonical: DivisorClass
-    degree: int
-    orbit_count: int
+    __slots__ = ()
 
 
 def orbit_size(r: int, b: tuple[int, ...]) -> int:

@@ -129,7 +129,7 @@ def text_classify(p: dict) -> Iterator[str]:
 
 
 def cmd_table(args: argparse.Namespace) -> dict:
-    if args.surface.lower() == "all":
+    if args.surface.strip().lower() == "all":
         surfaces = [surface_from_name(name) for name in SURFACE_NAMES]
         tables = [acm.degree_count_table(s) for s in surfaces]
         rows = [

@@ -9,7 +9,7 @@ D_0..D_r with its divisor decomposition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from operator import mul
 
@@ -26,12 +26,10 @@ from .picard import (
 )
 
 
-@dataclass(frozen=True)
-class LineClass:
+class LineClass(namedtuple("LineClass", "label divisor")):
     """A (-1)-line: self-intersection -1, degree 1, arithmetic genus 0."""
 
-    label: str
-    divisor: DivisorClass
+    __slots__ = ()
 
 
 @lru_cache(maxsize=None)
@@ -150,8 +148,7 @@ def alternative_base(surface: SurfaceModel) -> tuple[DivisorClass, ...]:
     return tuple(_base_divisor(l, tuple(e), k) for k in range(surface.r + 1))
 
 
-@dataclass(frozen=True)
-class BaseDecomposition:
+class BaseDecomposition(namedtuple("BaseDecomposition", "exceptional alphas")):
     """Writing of a divisor as sum(alpha_k * D_k) in a chosen exceptional frame.
 
     ``exceptional`` holds the r mutually disjoint (-1)-lines used as the
@@ -161,8 +158,7 @@ class BaseDecomposition:
     alpha_1..alpha_{r-1} >= 0 with alpha_r = D.e_r'.
     """
 
-    exceptional: tuple[DivisorClass, ...]
-    alphas: tuple[int, ...]
+    __slots__ = ()
 
     def line_class(self) -> DivisorClass:
         """The class l' of the frame, recovered from -K + sum(e_i') = 3l'."""

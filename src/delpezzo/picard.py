@@ -13,12 +13,10 @@ b-vector is available through :func:`multiplicities` and is used by the
 text formatter, which prints ``3l-2e1-e2`` style strings.
 """
 
-from __future__ import annotations
-
 import functools
 import re
 import sys
-from dataclasses import dataclass, field
+from collections import namedtuple
 from operator import mul
 
 from .errors import DivisorParseError, InternalError, SurfaceMismatch
@@ -30,7 +28,10 @@ QUADRIC = "quadric"
 SURFACE_NAMES = ("X0", "X1", "X2", "X3", "X4", "X5", "X6", "Q")
 
 
-@dataclass(frozen=True)
+def _immutable(self, name, value=None):
+    raise AttributeError(f"cannot assign to or delete field {name!r} of {type(self).__name__}")
+
+
 class SurfaceModel:
     """A strong del Pezzo surface (``BlowUp`` of r points or the quadric) and its lattice.
 
@@ -48,40 +49,33 @@ class SurfaceModel:
       ``symbols`` (every symbol of the divisor text grammar, with its vector).
     """
 
-    kind: str
-    r: int | None = None
-    rank: int = field(init=False, repr=False, compare=False)
-    name: str = field(init=False, repr=False, compare=False)
-    basis: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    symbols: dict[str, tuple[int, ...]] = field(init=False, repr=False, compare=False)
-    gram: tuple[tuple[int, int, int], ...] = field(init=False, repr=False, compare=False)
-    units: tuple[DivisorClass, ...] = field(init=False, repr=False, compare=False)
-    canonical: DivisorClass = field(init=False, repr=False, compare=False)
-    hyperplane: DivisorClass = field(init=False, repr=False, compare=False)
-    degree_vector: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    degree: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("kind", "r", "rank", "name", "basis", "symbols", "gram", "units",
+                 "canonical", "hyperplane", "degree_vector", "degree")
+    __setattr__ = __delattr__ = _immutable
 
-    def __post_init__(self):
-        if self.kind == BLOWUP:
-            if self.r is None or not 0 <= self.r <= 6:
-                raise ValueError(f"blow-up point count must be 0..6, got {self.r}")
-            rank, name = self.r + 1, f"X{self.r}"
+    def __init__(self, kind: str, r: int | None = None):
+        if kind == BLOWUP:
+            if r is None or not 0 <= r <= 6:
+                raise ValueError(f"blow-up point count must be 0..6, got {r}")
+            rank, name = r + 1, f"X{r}"
             basis = ("l",) + tuple(f"e{i}" for i in range(1, rank))
             gram = ((0, 0, 1),) + tuple((i, i, -1) for i in range(1, rank))
-            canonical = (-3,) + (1,) * self.r
-        elif self.kind == QUADRIC:
-            if self.r is not None:
+            canonical = (-3,) + (1,) * r
+        elif kind == QUADRIC:
+            if r is not None:
                 raise ValueError("the quadric has no blow-up point count")
             rank, name, basis = 2, "Q", ("h", "m")
             gram = ((0, 1, 1), (1, 0, 1))
             canonical = (-2, -2)
         else:
-            raise ValueError(f"unknown surface kind {self.kind!r}")
+            raise ValueError(f"unknown surface kind {kind!r}")
         vectors = [tuple(int(i == k) for i in range(rank)) for k in range(rank)]
         symbols = dict(zip(basis, vectors))
-        if self.r == 1:  # section/fibre basis of the one-point blow-up
+        if r == 1:  # section/fibre basis of the one-point blow-up
             symbols.update(C0=(0, 1), f=(1, -1))
         put = functools.partial(object.__setattr__, self)
+        put("kind", kind)
+        put("r", r)
         put("rank", rank)
         put("name", name)
         put("basis", basis)
@@ -100,6 +94,20 @@ class SurfaceModel:
         for i, j, value in self.gram:
             total += value * u[i] * v[j]
         return total
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.r) == (other.kind, other.r)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.r))
+
+    def __repr__(self) -> str:
+        return f"SurfaceModel(kind={self.kind!r}, r={self.r!r})"
+
+    def __reduce__(self):
+        return SurfaceModel, (self.kind, self.r)
 
     def __str__(self) -> str:
         return self.name
@@ -127,12 +135,16 @@ def surface_from_name(text: str) -> SurfaceModel:
     raise ValueError(f"unknown surface {text!r} (expected P2, X0..X6 or Q)")
 
 
-@dataclass(frozen=True)
 class DivisorClass:
     """A linear-equivalence class of divisors, as an integer coefficient vector."""
 
-    surface: SurfaceModel
-    coeffs: tuple[int, ...]
+    __slots__ = ("surface", "coeffs")
+    __setattr__ = __delattr__ = _immutable
+
+    def __init__(self, surface: SurfaceModel, coeffs: tuple[int, ...]):
+        object.__setattr__(self, "surface", surface)
+        object.__setattr__(self, "coeffs", coeffs)
+        self.__post_init__()  # the one hook every construction passes; tracers count it
 
     def __post_init__(self):
         if len(self.coeffs) != self.surface.rank:
@@ -142,6 +154,20 @@ class DivisorClass:
             )
         if not all(isinstance(c, int) for c in self.coeffs):
             raise ValueError("divisor coefficients must be integers")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.surface, self.coeffs) == (other.surface, other.coeffs)
+
+    def __hash__(self) -> int:
+        return hash((self.surface, self.coeffs))
+
+    def __repr__(self) -> str:
+        return f"DivisorClass(surface={self.surface!r}, coeffs={self.coeffs!r})"
+
+    def __reduce__(self):
+        return DivisorClass, (self.surface, self.coeffs)
 
     @property
     def is_zero(self) -> bool:
@@ -247,16 +273,14 @@ def euler_characteristic(D: DivisorClass) -> int:
 # ruled-surface coordinates on X1
 
 
-@dataclass(frozen=True)
-class RuledCoords:
+class RuledCoords(namedtuple("RuledCoords", "c0 f")):
     """Coordinates of an X1 class in the section/fibre basis C0, f.
 
     On the blow-up of one point, f = l - e1 and C0 = e1, so
     a*C0 + b*f = b*l - (b - a)*e1.
     """
 
-    c0: int
-    f: int
+    __slots__ = ()
 
 
 def to_ruled(D: DivisorClass) -> RuledCoords:

@@ -9,8 +9,8 @@ sheaves themselves are never constructed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from collections import namedtuple
+from collections.abc import Iterator
 
 from .errors import (
     InternalError,
@@ -58,10 +58,7 @@ def intersection_lower_bound(c: int, d: int) -> int:
 # Ext dimensions between maximal-degree classes
 
 
-class ExtDimensions(NamedTuple):
-    hom: int
-    ext1: int
-    ext2: int
+ExtDimensions = namedtuple("ExtDimensions", "hom ext1 ext2")
 
 
 def _require_maximal_acm(D: DivisorClass, role: str) -> None:
@@ -109,14 +106,10 @@ def ext1_dimension_vs_rank2(R: DivisorClass, C: DivisorClass, D: DivisorClass) -
 # wild pairs
 
 
-@dataclass(frozen=True)
-class WildPair:
+class WildPair(namedtuple("WildPair", "C D E F")):
     """Distinct maximal-degree ACM classes with C.D = 1 + d, plus E = 2H - C, F = 2H - D."""
 
-    C: DivisorClass
-    D: DivisorClass
-    E: DivisorClass
-    F: DivisorClass
+    __slots__ = ()
 
     def relation_block(self) -> tuple[int, int, int, int, int, int]:
         """The six values 1 + X.Y - d for (C,E), (D,F), (C,D), (E,F), (D,E), (C,F)."""
@@ -177,26 +170,16 @@ ODD = "odd"
 EVEN = "even"
 
 
-@dataclass(frozen=True)
-class ExtensionStep:
+class ExtensionStep(namedtuple("ExtensionStep", "sub quotient ext1_dim repeat", defaults=(1,))):
     """One extension in a construction schedule: 0 -> sub -> ? -> O(quotient) -> 0."""
 
-    sub: str
-    quotient: DivisorClass
-    ext1_dim: int
-    repeat: int = 1
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FamilyPlan:
+class FamilyPlan(namedtuple("FamilyPlan", "rank shape m param_dim schedule pair")):
     """Construction schedule and parameter-space dimension for rank ``rank``."""
 
-    rank: int
-    shape: str
-    m: int | None
-    param_dim: int
-    schedule: tuple[ExtensionStep, ...]
-    pair: WildPair
+    __slots__ = ()
 
 
 def family_plan(surface: SurfaceModel, n: int) -> FamilyPlan:

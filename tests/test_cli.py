@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -241,6 +242,13 @@ def test_table_all_blank_cells(capsys):
     assert rows[4]["X5"] == 40
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_table_all_takes_surrounding_spaces_like_a_surface_name(fmt, capsys):
+    padded = run(capsys, "table", " all ", "--format", fmt)
+    assert padded[0] == 0
+    assert padded == run(capsys, "table", "all", "--format", fmt)
+
+
 def test_table_single_surface(capsys):
     code, payload = run_json(capsys, "table", "X5")
     assert code == 0
@@ -322,6 +330,21 @@ def test_module_entry_point_runs_the_cli(tmp_path):
     result = subprocess.run(argv, cwd=src, capture_output=True, text=True, timeout=60)
     assert result.returncode == 2
     assert "does not exist" in result.stderr
+
+
+def test_cli_import_loads_no_dataclasses_or_typing():
+    # -S: the interpreter's site module may import typing on its own
+    src = str(Path(__file__).parent.parent / "src")
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, delpezzo.cli; print(*sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "delpezzo.cli" in result.stdout.split()
+    assert {"dataclasses", "inspect", "typing"}.isdisjoint(result.stdout.split())
 
 
 # --- text output, byte for byte ------------------------------------------------------

@@ -1,10 +1,14 @@
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
 from delpezzo import (
+    DivisorClass,
     DivisorParseError,
     RuledCoords,
     SurfaceMismatch,
+    SurfaceModel,
     arithmetic_genus,
     blow_up,
     canonical_class,
@@ -287,3 +291,111 @@ def test_surface_names():
     for name in ("X9", "X²", "X٣"):
         with pytest.raises(ValueError):
             surface_from_name(name)
+
+
+# --- value types ----------------------------------------------------------------
+# Classes and surfaces are keys of sets, dicts and caches everywhere; these pin
+# the contract the rest of the engine relies on.
+
+
+def test_divisor_class_equality_and_hash():
+    D = divisor(X3, 3, -2, -1, 0)
+    assert D == divisor(X3, 3, -2, -1, 0)
+    assert hash(D) == hash(divisor(X3, 3, -2, -1, 0))
+    assert len({D, divisor(X3, 3, -2, -1, 0)}) == 1
+    assert D != divisor(X3, 3, -2, -1, 1)
+    assert divisor(X1, 1, 0) != divisor(Q, 1, 0)
+    assert divisor(X2, 0, 0, 0) != zero_class(X3)
+
+
+def test_divisor_class_never_equals_a_tuple():
+    D = divisor(X2, 1, -1, 0)
+    assert D != (X2, (1, -1, 0))
+    assert D != (1, -1, 0)
+    assert (X2, (1, -1, 0)) != D
+
+
+def test_surface_equality_and_hash():
+    assert blow_up(3) == SurfaceModel("blowup", 3)
+    assert hash(blow_up(3)) == hash(SurfaceModel("blowup", 3))
+    assert quadric() == SurfaceModel("quadric")
+    assert blow_up(3) != blow_up(4)
+    assert blow_up(2) != quadric()
+    assert blow_up(3) != ("blowup", 3)
+
+
+def test_value_types_are_immutable():
+    D = divisor(X3, 1, -1, 0, 0)
+    with pytest.raises(AttributeError):
+        D.coeffs = (0, 0, 0, 0)
+    with pytest.raises(AttributeError):
+        X3.degree = 5
+    with pytest.raises(AttributeError):
+        del D.surface
+    assert D.coeffs == (1, -1, 0, 0) and X3.degree == 6
+
+
+@pytest.mark.parametrize(
+    "coeffs, message",
+    [
+        ((1, 0), "expected 4 coefficients on X3, got 2"),
+        ((1, 0, 0, 0, 0), "expected 4 coefficients on X3, got 5"),
+        ((1, 0.0, 0, 0), "divisor coefficients must be integers"),
+        ((1, "0", 0, 0), "divisor coefficients must be integers"),
+    ],
+)
+def test_divisor_class_validation_messages(coeffs, message):
+    with pytest.raises(ValueError) as err:
+        DivisorClass(X3, coeffs)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("blowup", 7), "blow-up point count must be 0..6, got 7"),
+        (("blowup",), "blow-up point count must be 0..6, got None"),
+        (("quadric", 0), "the quadric has no blow-up point count"),
+        (("cone",), "unknown surface kind 'cone'"),
+    ],
+)
+def test_surface_validation_messages(args, message):
+    with pytest.raises(ValueError) as err:
+        SurfaceModel(*args)
+    assert str(err.value) == message
+
+
+def test_value_type_reprs():
+    assert repr(X3) == "SurfaceModel(kind='blowup', r=3)"
+    assert repr(Q) == "SurfaceModel(kind='quadric', r=None)"
+    assert repr(divisor(X2, 1, -1, 0)) == (
+        "DivisorClass(surface=SurfaceModel(kind='blowup', r=2), coeffs=(1, -1, 0))"
+    )
+    assert repr(to_ruled(divisor(X1, 2, -1))) == "RuledCoords(c0=1, f=2)"
+
+
+def test_value_types_pickle():
+    D = divisor(X6, 5, -2, -2, -2, -2, -2, -2)
+    assert pickle.loads(pickle.dumps(D)) == D
+    assert pickle.loads(pickle.dumps(Q)) == Q
+
+
+def test_post_init_runs_once_per_construction(monkeypatch):
+    calls = []
+    original = DivisorClass.__post_init__
+
+    def counted(self):
+        calls.append(self.coeffs)
+        return original(self)
+
+    monkeypatch.setattr(DivisorClass, "__post_init__", counted)
+    D = divisor(X2, 1, -1, 0)
+    assert calls == [(1, -1, 0)]
+    -D
+    D + D
+    2 * D
+    parse_divisor(X2, "l-e1")
+    assert calls == [(1, -1, 0), (-1, 1, 0), (2, -2, 0), (2, -2, 0), (1, -1, 0)]
+    with pytest.raises(ValueError):
+        DivisorClass(X2, (1,))
+    assert len(calls) == 6
