@@ -134,6 +134,8 @@ class AcmRecord(namedtuple("AcmRecord", "canonical degree orbit_count")):
 
 def orbit_size(r: int, b: tuple[int, ...]) -> int:
     """Distinct vectors obtainable by permuting b: the multinomial r!/prod(mult!)."""
+    if len(b) != r:
+        raise PreconditionViolated(f"b has length {len(b)}, not r = {r}")
     count = math.factorial(r)
     for mult in Counter(b).values():
         count //= math.factorial(mult)

@@ -8,7 +8,7 @@ the only place that knows about formats and exit codes:
 
     0  success
     1  verification failure (the payload's ``ok`` is false)
-    2  usage or parse error (``ValueError``)
+    2  usage, parse or I/O error (``ValueError``, ``OSError``)
     3  request outside the supported surface range (``UnsupportedSurface``,
        ``NotFound``)
     4  internal error: any other exception, a bug, reported on one line
@@ -232,7 +232,8 @@ def text_wild(p: dict) -> Iterator[str]:
 def cmd_verify(args: argparse.Namespace) -> dict:
     golden_dir = args.golden
     if not os.path.isdir(golden_dir):
-        raise ValueError(f"golden directory {golden_dir!r} does not exist")
+        problem = "is not a directory" if os.path.exists(golden_dir) else "does not exist"
+        raise ValueError(f"golden directory {golden_dir!r} {problem}")
     missing = goldens.missing_golden_files(golden_dir)
     if missing:
         raise ValueError(f"missing golden files in {golden_dir!r}: " + ", ".join(f"{m}.tsv" for m in missing))
@@ -317,7 +318,7 @@ def main(argv: list[str] | None = None) -> int:
                 print(line)
     except (UnsupportedSurface, NotFound) as exc:
         return _fail(str(exc), OUT_OF_SCOPE)
-    except ValueError as exc:  # parse errors, bad surface names and similar input errors
+    except (ValueError, OSError) as exc:  # bad input, or a file the environment will not let us read
         return _fail(str(exc), USAGE_ERROR)
     except Exception as exc:  # InternalError or any other escape is a bug: one line, no traceback
         print(f"acm: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -4,7 +4,9 @@ Covers: the lines, labelled, which are the ACM classes of degree 1;
 effectivity, very-ampleness and smooth members without line components,
 each a sign test against the lines, conics and twisted cubics of the ACM
 catalog; h^1 of the first negative twist; and the alternative basis
-D_0..D_r with its divisor decomposition.
+D_0..D_r with its divisor decomposition.  The decomposition's exceptional
+frame is read off a twisted cubic N, an ACM class of degree 3: the r lines
+orthogonal to N, which a blow-down to P2 contracts, with l' = N.
 """
 
 from __future__ import annotations
@@ -194,63 +196,49 @@ class BaseDecomposition(namedtuple("BaseDecomposition", "exceptional alphas")):
         return tuple(perm)
 
 
-def _complete_disjoint(
-    chosen: list[DivisorClass], pool: list[DivisorClass], want: int
-) -> list[DivisorClass] | None:
-    if len(chosen) == want:
-        return chosen
-    for k, cand in enumerate(pool):
-        if all(intersect(cand, c) == 0 for c in chosen):
-            found = _complete_disjoint(chosen + [cand], pool[k + 1 :], want)
-            if found is not None:
-                return found
-    return None
-
-
 def decompose(D: DivisorClass) -> BaseDecomposition:
-    """Decompose D over the alternative base of a suitable exceptional frame.
+    """Decompose D over the alternative base of the frame of a twisted cubic N.
 
-    For r <= 4 the standard exceptional classes are relabeled so the
-    multiplicities are non-increasing.  For r = 5, 6 the frame's last two
-    slots are lines minimising D.L (first over all lines, then over lines
-    disjoint from the first), which makes alpha_0 >= 0; ties are broken by
-    the canonical line order.
+    A twisted cubic is an ACM class N with N.H = 3 and N^2 = 1: a line
+    pulled back under a blow-down to P2.  Its frame is the r lines L with
+    L.N = 0, pairwise disjoint with N = (H + sum(L))/3, so l' = N.  For
+    r = 5, 6 the frame's last two slots are lines minimising D.L (first over
+    all lines, then over lines disjoint from the first), which makes
+    alpha_0 >= 0; for r <= 4 there are none.  N is the cubic orthogonal to
+    those slots whose other frame lines come first in the canonical line
+    order, so N = l for r <= 4, the frame being the standard e_i.  For
+    r = 5, 6 such a cubic exists: contracting the two disjoint lines leaves
+    the del Pezzo surface of degree 11 - r, a blow-up of r - 2 points, and
+    the pullbacks of its r - 2 exceptional lines complete the two lines to a
+    frame.  The other frame lines are sorted by non-increasing multiplicity
+    D.L, ties broken by the canonical line order.
     """
     surface = D.surface
     if surface.kind != BLOWUP or not 2 <= surface.r <= 6:
         raise UnsupportedSurface(f"decomposition needs a blow-up of 2..6 points, not {surface}")
     r = surface.r
-    if r <= 4:
-        standard = surface.units[1:]
-        order = sorted(range(r), key=lambda i: (-intersect(D, standard[i]), i))
-        frame = tuple(standard[i] for i in order)
-    else:
-        lines = [L.divisor for L in enumerate_lines(surface)]
-        last = min(lines, key=lambda L: intersect(D, L))
-        disjoint = [L for L in lines if L != last and intersect(L, last) == 0]
-        second = min(disjoint, key=lambda L: intersect(D, L))
-        completion = _complete_disjoint(
-            [last, second], [L for L in lines if L not in (last, second)], r
-        )
-        if completion is None:
-            raise InternalError("could not extend two skew lines to a full exceptional frame")
-        others = sorted(
-            completion[2:], key=lambda L: (-intersect(D, L), lines.index(L))
-        )
-        frame = tuple(others) + (second, last)
-
-    decomposition = _assemble(D, frame)
+    lines = [L.divisor for L in enumerate_lines(surface)]
+    dots = [intersect(D, L) for L in lines]
+    tail = ()
+    if r >= 5:
+        last = min(range(len(lines)), key=dots.__getitem__)
+        disjoint = [k for k, L in enumerate(lines) if k != last and intersect(L, lines[last]) == 0]
+        tail = (min(disjoint, key=dots.__getitem__), last)
+    frames = [  # each cubic orthogonal to the tail, with the indices of its other frame lines
+        (N, [k for k, L in enumerate(lines) if intersect(L, N) == 0 and k not in tail])
+        for N in classes_of_degree(surface, 3)
+        if all(intersect(N, lines[k]) == 0 for k in tail)
+    ]
+    if not frames:
+        raise InternalError("no twisted cubic is orthogonal to two skew lines")
+    N, others = min(frames, key=lambda f: f[1])
+    order = sorted(others, key=lambda k: (-dots[k], k)) + list(tail)
+    b = [dots[k] for k in order]
+    if any(b[i] < b[i + 1] for i in range(r - 1)):
+        raise InternalError("exceptional frame is not sorted by multiplicity")
+    alphas = tuple(b[i] - b[i + 1] for i in range(r - 1)) + (b[r - 1],)
+    alpha_0 = intersect(D, N) - sum(map(mul, _BASE_L_COEFF[1:], alphas))
+    decomposition = BaseDecomposition(tuple(lines[k] for k in order), (alpha_0,) + alphas)
     if decomposition.reconstruct() != D:
         raise InternalError(f"decomposition of {D} does not reconstruct")
     return decomposition
-
-
-def _assemble(D: DivisorClass, frame: tuple[DivisorClass, ...]) -> BaseDecomposition:
-    r = len(frame)
-    shell = BaseDecomposition(frame, (0,) * (r + 1))
-    a = intersect(D, shell.line_class())
-    b = [intersect(D, ec) for ec in frame]
-    if any(b[i] < b[i + 1] for i in range(r - 1)):
-        raise InternalError("exceptional frame is not sorted by multiplicity")
-    tail = tuple(b[i] - b[i + 1] for i in range(r - 1)) + (b[r - 1],)
-    return BaseDecomposition(frame, (a - sum(map(mul, _BASE_L_COEFF[1:], tail)),) + tail)

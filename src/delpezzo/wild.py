@@ -61,45 +61,43 @@ def intersection_lower_bound(c: int, d: int) -> int:
 ExtDimensions = namedtuple("ExtDimensions", "hom ext1 ext2")
 
 
-def _require_maximal_acm(D: DivisorClass, role: str) -> None:
-    if not is_acm_initialized(D) or D.is_zero:
-        raise PreconditionViolated(f"{role} = {D} is not a nonzero initialized ACM class")
-    if degree(D) != D.surface.degree:
-        raise PreconditionViolated(
-            f"{role} = {D} has degree {degree(D)}, not the maximal {D.surface.degree}"
-        )
+def _require_maximal_acm(D: DivisorClass) -> None:
+    if degree(D) != D.surface.degree or not is_acm_initialized(D):
+        raise PreconditionViolated(f"{D} is not an initialized ACM class of the maximal degree {D.surface.degree}")
+
+
+def ext1_dimension(C: DivisorClass, D: DivisorClass) -> int:
+    """dim Ext^1 between the line bundles of two distinct maximal classes:
+    1 + C.D - d, checked against Riemann-Roch as -chi(D - C)."""
+    if C == D:
+        raise NotApplicable("Ext dimensions are stated for distinct classes")
+    _require_maximal_acm(C)
+    _require_maximal_acm(D)
+    ext1 = 1 + intersect(C, D) - C.surface.degree
+    if ext1 != -euler_characteristic(D - C):
+        raise InternalError("Ext^1 dimension disagrees with Riemann-Roch")
+    if ext1 < 0:
+        raise InternalError(f"negative Ext^1 dimension for {C}, {D}")
+    return ext1
 
 
 def ext_dimensions(C: DivisorClass, D: DivisorClass) -> ExtDimensions:
     """(hom, ext1, ext2) between the line bundles of two distinct maximal classes.
 
-    Hom and Ext^2 vanish; dim Ext^1 = 1 + C.D - d = -chi(D - C).
+    Hom and Ext^2 vanish; Ext^1 is :func:`ext1_dimension`.
     """
-    if C == D:
-        raise NotApplicable("Ext dimensions are stated for distinct classes")
-    _require_maximal_acm(C, "C")
-    _require_maximal_acm(D, "D")
-    d = C.surface.degree
-    ext1 = 1 + intersect(C, D) - d
-    if ext1 != -euler_characteristic(D - C):
-        raise InternalError("Ext^1 dimension disagrees with Riemann-Roch")
-    if ext1 < 0:
-        raise InternalError(f"negative Ext^1 dimension for {C}, {D}")
-    return ExtDimensions(0, ext1, 0)
-
-
-def ext1_dimension(C: DivisorClass, D: DivisorClass) -> int:
-    return ext_dimensions(C, D).ext1
+    return ExtDimensions(0, ext1_dimension(C, D), 0)
 
 
 def ext1_dimension_vs_rank2(R: DivisorClass, C: DivisorClass, D: DivisorClass) -> int:
-    """dim Ext^1 from O(R) into a rank-2 extension of O(D) by O(C): 2 - 2d + C.R + D.R."""
+    """dim Ext^1 from O(R) into a rank-2 extension of O(D) by O(C): 2 - 2d + C.R + D.R.
+
+    Ext^1 is additive over the extension, so this is the sum of the two
+    line-bundle dimensions 1 + C.R - d and 1 + D.R - d.
+    """
     if R in (C, D) or C == D:
         raise NotApplicable("R, C, D must be pairwise distinct classes")
-    for role, cls in (("R", R), ("C", C), ("D", D)):
-        _require_maximal_acm(cls, role)
-    d = R.surface.degree
-    return 2 - 2 * d + intersect(C, R) + intersect(D, R)
+    return ext1_dimension(C, R) + ext1_dimension(D, R)
 
 
 # ---------------------------------------------------------------------------
@@ -112,25 +110,15 @@ class WildPair(namedtuple("WildPair", "C D E F")):
     __slots__ = ()
 
     def relation_block(self) -> tuple[int, int, int, int, int, int]:
-        """The six values 1 + X.Y - d for (C,E), (D,F), (C,D), (E,F), (D,E), (C,F)."""
-        d = self.C.surface.degree
-        pairs = (
-            (self.C, self.E),
-            (self.D, self.F),
-            (self.C, self.D),
-            (self.E, self.F),
-            (self.D, self.E),
-            (self.C, self.F),
-        )
-        return tuple(1 + intersect(x, y) - d for x, y in pairs)
+        """``ext1_dimension`` = 1 + X.Y - d for (C,E), (D,F), (C,D), (E,F), (D,E), (C,F)."""
+        C, D, E, F = self
+        return tuple(ext1_dimension(x, y) for x, y in ((C, E), (D, F), (C, D), (E, F), (D, E), (C, F)))
 
 
 def _make_pair(C: DivisorClass, D: DivisorClass) -> WildPair:
     two_h = 2 * hyperplane(C.surface)
     pair = WildPair(C, D, two_h - C, two_h - D)
-    for member in (pair.E, pair.F):
-        _require_maximal_acm(member, "2H complement")
-    if len({pair.C, pair.D, pair.E, pair.F}) != 4:
+    if len(set(pair)) != 4:
         raise InternalError(f"wild pair members are not distinct: {pair}")
     if pair.relation_block() != (3, 3, 2, 2, 0, 0):
         raise InternalError(f"relation block violated for {pair}")
@@ -188,7 +176,8 @@ def family_plan(surface: SurfaceModel, n: int) -> FamilyPlan:
     Rank 2: extensions of O(C) by O(E), a P^2 of bundles.  Rank 2m+1: m
     distinct rank-2 extensions of O(D) by O(C), then one extension by O(E),
     giving (P^2)^m.  Rank 2m+2: the odd-rank bundle extended by O(F),
-    giving P^(1+3m).  All Ext^1 dimensions are recomputed from the pair.
+    giving P^(1+3m).  The Ext^1 dimensions are read off the pair's checked
+    relation block.
     """
     if surface.degree > 6:
         raise UnsupportedSurface(
@@ -197,21 +186,18 @@ def family_plan(surface: SurfaceModel, n: int) -> FamilyPlan:
     if n < 2:
         raise PreconditionViolated(f"rank must be at least 2, got {n}")
     pair = find_wild_pair(surface)
-    C, D, E, F = pair.C, pair.D, pair.E, pair.F
+    C, D, E, F = pair
+    ce, df, cd, ef, de, cf = pair.relation_block()
     if n == 2:
-        ext_ce = ext1_dimension(C, E)
-        step = ExtensionStep(sub=f"O({E})", quotient=C, ext1_dim=ext_ce)
-        return FamilyPlan(2, RANK2, None, ext_ce - 1, (step,), pair)
+        step = ExtensionStep(sub=f"O({E})", quotient=C, ext1_dim=ce)
+        return FamilyPlan(2, RANK2, None, ce - 1, (step,), pair)
     m = (n - 1) // 2
-    ext_cd = ext1_dimension(D, C)
-    ext_e_block = ext1_dimension_vs_rank2(E, C, D)
-    rank2_step = ExtensionStep(sub=f"O({C})", quotient=D, ext1_dim=ext_cd, repeat=m)
+    rank2_step = ExtensionStep(sub=f"O({C})", quotient=D, ext1_dim=cd, repeat=m)
     blocks = " + ".join(f"E{i + 1}" for i in range(m)) if m <= 3 else f"E1 + ... + E{m}"
-    odd_step = ExtensionStep(sub=blocks, quotient=E, ext1_dim=m * ext_e_block)
+    odd_step = ExtensionStep(sub=blocks, quotient=E, ext1_dim=m * (ce + de))
     if n % 2 == 1:
-        param = m * (ext_e_block - 1)
-        return FamilyPlan(n, ODD, m, param, (rank2_step, odd_step), pair)
-    ext_f_total = m * ext1_dimension_vs_rank2(F, C, D) + ext1_dimension(E, F)
+        return FamilyPlan(n, ODD, m, m * (ce + de - 1), (rank2_step, odd_step), pair)
+    ext_f_total = m * (cf + df) + ef
     even_step = ExtensionStep(sub=f"H (rank {2 * m + 1})", quotient=F, ext1_dim=ext_f_total)
     return FamilyPlan(n, EVEN, m, ext_f_total - 1, (rank2_step, odd_step, even_step), pair)
 

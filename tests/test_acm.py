@@ -159,6 +159,12 @@ def test_orbit_size_is_multinomial():
     assert orbit_size(0, ()) == 1
 
 
+@pytest.mark.parametrize("r, b", [(3, (1, 1)), (2, (1, 2, 3))])
+def test_orbit_size_rejects_a_vector_of_another_length(r, b):
+    with pytest.raises(ValueError, match=f"length {len(b)}, not r = {r}"):
+        orbit_size(r, b)
+
+
 @given(data=st.data())
 def test_orbit_size_counts_distinct_permutations(data):
     r = data.draw(st.integers(1, 5))

@@ -323,6 +323,29 @@ def test_verify_missing_dir(tmp_path, capsys):
     assert code == 2
 
 
+def test_verify_golden_path_that_is_a_file(tmp_path, capsys):
+    target = tmp_path / "golden.tsv"
+    target.write_text("")
+    err = f"acm: error: golden directory {str(target)!r} is not a directory\n"
+    assert run(capsys, "verify", "--golden", str(target)) == (2, "", err)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_unreadable_golden_file_is_an_io_error(fmt, capsys, monkeypatch):
+    read_text = Path.read_text
+
+    def denied(self, *args, **kwargs):
+        if self.name == "X3.tsv":
+            raise PermissionError(13, "Permission denied", str(self))
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", denied)
+    code, out, err = run(capsys, "verify", "--golden", GOLDEN_DIR, "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err.startswith("acm: error: ") and err.count("\n") == 1
+    assert "X3.tsv" in err and "internal error" not in err
+
+
 def test_module_entry_point_runs_the_cli(tmp_path):
     # -m puts the working directory on sys.path, so the package is found in src/
     src = Path(__file__).parent.parent / "src"

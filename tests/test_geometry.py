@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 from operator import mul
 
@@ -20,8 +21,9 @@ from delpezzo import (
     self_intersection,
     zero_class,
 )
-from delpezzo.acm import enumerate_acm
+from delpezzo.acm import classes_of_degree, enumerate_acm
 from delpezzo.geometry import (
+    BaseDecomposition,
     alternative_base,
     decompose,
     enumerate_lines,
@@ -431,3 +433,83 @@ def test_decompose_reconstruction(r, data):
 def test_decompose_out_of_scope():
     with pytest.raises(UnsupportedSurface):
         decompose(parse_divisor(X1, "l"))
+
+
+# --- frames read off the twisted cubics ------------------------------------------
+
+CUBIC_COUNTS = {2: 1, 3: 2, 4: 5, 5: 16, 6: 72}
+
+
+def former_complete_disjoint(chosen, pool, want):
+    """The depth-first frame search decompose used before reading frames off
+    the twisted cubics: the first completion in the canonical line order."""
+    if len(chosen) == want:
+        return chosen
+    for k, cand in enumerate(pool):
+        if all(intersect(cand, c) == 0 for c in chosen):
+            found = former_complete_disjoint(chosen + [cand], pool[k + 1 :], want)
+            if found is not None:
+                return found
+    return None
+
+
+def former_decompose(D):
+    """(exceptional, alphas) of the former decompose, which completed the two
+    minimising lines on X5, X6 with the depth-first search."""
+    surface = D.surface
+    r = surface.r
+    if r <= 4:
+        standard = surface.units[1:]
+        frame = tuple(standard[i] for i in sorted(range(r), key=lambda i: (-intersect(D, standard[i]), i)))
+    else:
+        lines = [L.divisor for L in enumerate_lines(surface)]
+        last = min(lines, key=lambda L: intersect(D, L))
+        second = min((L for L in lines if L != last and intersect(L, last) == 0), key=lambda L: intersect(D, L))
+        completion = former_complete_disjoint([last, second], [L for L in lines if L not in (last, second)], r)
+        others = sorted(completion[2:], key=lambda L: (-intersect(D, L), lines.index(L)))
+        frame = tuple(others) + (second, last)
+    a = intersect(D, BaseDecomposition(frame, ()).line_class())
+    b = [intersect(D, ec) for ec in frame]
+    tail = tuple(b[i] - b[i + 1] for i in range(r - 1)) + (b[r - 1],)
+    return frame, (a - sum(map(mul, (1, 2, 2, 2, 3, 3), tail)),) + tail
+
+
+@pytest.mark.parametrize("r", sorted(CUBIC_COUNTS))
+def test_decompose_agrees_with_the_former_frame_search(r):
+    surface = blow_up(r)
+    rng = random.Random(r)
+    for _ in range(2000):
+        D = divisor(surface, *(rng.randint(-10, 10) for _ in range(surface.rank)))
+        dec = decompose(D)
+        assert (dec.exceptional, dec.alphas) == former_decompose(D), D
+
+
+@pytest.mark.parametrize("r", sorted(CUBIC_COUNTS))
+def test_each_twisted_cubic_is_the_line_class_of_its_frame(r):
+    surface = blow_up(r)
+    lines = [L.divisor for L in enumerate_lines(surface)]
+    cubics = classes_of_degree(surface, 3)
+    assert len(cubics) == CUBIC_COUNTS[r]
+    for N in cubics:
+        assert (degree(N), self_intersection(N)) == (3, 1)
+        frame = [L for L in lines if intersect(L, N) == 0]
+        assert len(frame) == r
+        assert all(intersect(L, M) == 0 for L, M in itertools.combinations(frame, 2))
+        assert hyperplane(surface) + sum(frame, zero_class(surface)) == 3 * N
+
+
+@pytest.mark.parametrize("r, ordered_pairs", [(5, 160), (6, 432)])
+def test_every_disjoint_pair_of_lines_lies_in_a_frame(r, ordered_pairs):
+    """The frame decompose picks for a disjoint pair, the cubic orthogonal to
+    both whose other lines come first, is the depth-first completion."""
+    surface = blow_up(r)
+    lines = [L.divisor for L in enumerate_lines(surface)]
+    frames = [[k for k, L in enumerate(lines) if intersect(L, N) == 0] for N in classes_of_degree(surface, 3)]
+    pairs = [(i, j) for i, j in itertools.permutations(range(len(lines)), 2) if intersect(lines[i], lines[j]) == 0]
+    assert len(pairs) == ordered_pairs
+    for i, j in pairs:
+        others = [[k for k in f if k not in (i, j)] for f in frames if i in f and j in f]
+        assert others
+        rest = [L for k, L in enumerate(lines) if k not in (i, j)]
+        completion = former_complete_disjoint([lines[i], lines[j]], rest, r)
+        assert [lines[k] for k in min(others)] == completion[2:]

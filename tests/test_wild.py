@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from delpezzo import (
@@ -8,6 +10,7 @@ from delpezzo import (
     UnsupportedSurface,
     blow_up,
     degree,
+    euler_characteristic,
     hyperplane,
     intersect,
     parse_divisor,
@@ -126,6 +129,10 @@ def test_ext_vs_rank2_values():
     assert ext1_dimension_vs_rank2(pair.F, pair.C, pair.D) == 3
     with pytest.raises(NotApplicable):
         ext1_dimension_vs_rank2(pair.C, pair.C, pair.D)
+    with pytest.raises(PreconditionViolated):
+        ext1_dimension_vs_rank2(hyperplane(X3), pair.C, pair.D)  # not ACM
+    with pytest.raises(PreconditionViolated):
+        ext1_dimension_vs_rank2(pair.E, parse_divisor(X3, "l"), pair.D)  # degree 3 < 6
 
 
 @pytest.mark.parametrize("surface", WILD_SURFACES, ids=str)
@@ -135,6 +142,17 @@ def test_ext_vs_rank2_additivity(surface):
         assert ext1_dimension_vs_rank2(R, pair.C, pair.D) == ext1_dimension(
             R, pair.C
         ) + ext1_dimension(R, pair.D)
+
+
+@pytest.mark.parametrize("surface", WILD_SURFACES, ids=str)
+def test_ext_closed_forms_on_every_wild_pair(surface):
+    d = surface.degree
+    for pair in find_wild_pairs(surface):
+        C, D, E, F = pair
+        for X, Y in itertools.permutations(pair, 2):
+            assert ext1_dimension(X, Y) == 1 + intersect(X, Y) - d == -euler_characteristic(Y - X)
+        for R in (E, F):
+            assert ext1_dimension_vs_rank2(R, C, D) == 2 - 2 * d + intersect(C, R) + intersect(D, R)
 
 
 # --- wild pairs -----------------------------------------------------------------------
@@ -198,6 +216,34 @@ def test_family_dimensions_up_to_rank_50(surface):
             m = (n - 2) // 2
             assert plan.param_dim == 3 * m + 1
         assert family_slope(surface, plan) == surface.degree
+
+
+def former_family_plan(surface, n):
+    """(rank, shape, m, param_dim, schedule) of the plan as the helpers computed
+    it before family_plan read the relation block."""
+    pair = find_wild_pair(surface)
+    C, D, E, F = pair
+    if n == 2:
+        ext_ce = ext1_dimension(C, E)
+        return 2, "rank2", None, ext_ce - 1, ((f"O({E})", C, ext_ce, 1),)
+    m = (n - 1) // 2
+    ext_e_block = ext1_dimension_vs_rank2(E, C, D)
+    blocks = " + ".join(f"E{i + 1}" for i in range(m)) if m <= 3 else f"E1 + ... + E{m}"
+    schedule = ((f"O({C})", D, ext1_dimension(D, C), m), (blocks, E, m * ext_e_block, 1))
+    if n % 2 == 1:
+        return n, "odd", m, m * (ext_e_block - 1), schedule
+    ext_f_total = m * ext1_dimension_vs_rank2(F, C, D) + ext1_dimension(E, F)
+    schedule += ((f"H (rank {2 * m + 1})", F, ext_f_total, 1),)
+    return n, "even", m, ext_f_total - 1, schedule
+
+
+@pytest.mark.parametrize("surface", WILD_SURFACES, ids=str)
+def test_family_plans_agree_with_the_former_helper_calls(surface):
+    for n in range(2, 51):
+        plan = family_plan(surface, n)
+        assert plan.pair == find_wild_pair(surface)
+        got = (plan.rank, plan.shape, plan.m, plan.param_dim, tuple(map(tuple, plan.schedule)))
+        assert got == former_family_plan(surface, n)
 
 
 def test_family_plan_errors():
