@@ -222,7 +222,7 @@ def decompose(D: DivisorClass) -> BaseDecomposition:
     tail = ()
     if r >= 5:
         last = min(range(len(lines)), key=dots.__getitem__)
-        disjoint = [k for k, L in enumerate(lines) if k != last and intersect(L, lines[last]) == 0]
+        disjoint = [k for k, L in enumerate(lines) if intersect(L, lines[last]) == 0]  # not last: L.L = -1
         tail = (min(disjoint, key=dots.__getitem__), last)
     frames = [  # each cubic orthogonal to the tail, with the indices of its other frame lines
         (N, [k for k, L in enumerate(lines) if intersect(L, N) == 0 and k not in tail])

@@ -500,8 +500,9 @@ def test_each_twisted_cubic_is_the_line_class_of_its_frame(r):
 
 @pytest.mark.parametrize("r, ordered_pairs", [(5, 160), (6, 432)])
 def test_every_disjoint_pair_of_lines_lies_in_a_frame(r, ordered_pairs):
-    """The frame decompose picks for a disjoint pair, the cubic orthogonal to
-    both whose other lines come first, is the depth-first completion."""
+    """The cubics orthogonal to a disjoint pair are those of the surface the
+    pair contracts to, X(r-2); the one whose other lines come first, which
+    decompose picks, is the depth-first completion."""
     surface = blow_up(r)
     lines = [L.divisor for L in enumerate_lines(surface)]
     frames = [[k for k, L in enumerate(lines) if intersect(L, N) == 0] for N in classes_of_degree(surface, 3)]
@@ -509,7 +510,7 @@ def test_every_disjoint_pair_of_lines_lies_in_a_frame(r, ordered_pairs):
     assert len(pairs) == ordered_pairs
     for i, j in pairs:
         others = [[k for k in f if k not in (i, j)] for f in frames if i in f and j in f]
-        assert others
+        assert len(others) == CUBIC_COUNTS[r - 2]
         rest = [L for k, L in enumerate(lines) if k not in (i, j)]
         completion = former_complete_disjoint([lines[i], lines[j]], rest, r)
         assert [lines[k] for k in min(others)] == completion[2:]
