@@ -10,6 +10,7 @@ invariants.
 from __future__ import annotations
 
 import itertools
+import os
 from pathlib import Path
 
 from .acm import (
@@ -52,11 +53,6 @@ def write_golden_dir(directory: str | Path) -> None:
         surface = surface_from_name(name)
         path = directory / f"{name}.tsv"
         path.write_text("\n".join(golden_lines(surface)) + "\n")
-
-
-def missing_golden_files(directory: str | Path) -> list[str]:
-    directory = Path(directory)
-    return [name for name in SURFACE_NAMES if not (directory / f"{name}.tsv").is_file()]
 
 
 def _diff_golden(surface: SurfaceModel, recorded: list[str]) -> list[str]:
@@ -111,9 +107,15 @@ def _check_invariants(surface: SurfaceModel) -> list[str]:
 def run_verification(golden_dir: str | Path) -> tuple[bool, list[str]]:
     """Diff every surface against its golden file and re-check invariants.
 
-    Returns (ok, report lines).  Missing files must be handled by the caller
-    beforehand (see :func:`missing_golden_files`).
+    Returns (ok, report lines).  Raises ValueError when ``golden_dir`` is not
+    an existing directory or lacks one of the ``<surface>.tsv`` files.
     """
+    if not os.path.isdir(golden_dir):
+        problem = "is not a directory" if os.path.exists(golden_dir) else "does not exist"
+        raise ValueError(f"golden directory {str(golden_dir)!r} {problem}")
+    missing = [name for name in SURFACE_NAMES if not Path(golden_dir, f"{name}.tsv").is_file()]
+    if missing:
+        raise ValueError(f"missing golden files in {str(golden_dir)!r}: " + ", ".join(f"{m}.tsv" for m in missing))
     golden_dir = Path(golden_dir)
     report = []
     ok = True

@@ -104,15 +104,19 @@ def ext1_dimension_vs_rank2(R: DivisorClass, C: DivisorClass, D: DivisorClass) -
 # wild pairs
 
 
+# The relation block every wild pair satisfies: dim Ext^1 = 1 + X.Y - d for
+# the members X, Y named by each key, in the order plans and payloads use.
+RELATIONS = {"CE": 3, "DF": 3, "CD": 2, "EF": 2, "DE": 0, "CF": 0}
+
+
 class WildPair(namedtuple("WildPair", "C D E F")):
     """Distinct maximal-degree ACM classes with C.D = 1 + d, plus E = 2H - C, F = 2H - D."""
 
     __slots__ = ()
 
-    def relation_block(self) -> tuple[int, int, int, int, int, int]:
-        """``ext1_dimension`` = 1 + X.Y - d for (C,E), (D,F), (C,D), (E,F), (D,E), (C,F)."""
-        C, D, E, F = self
-        return tuple(ext1_dimension(x, y) for x, y in ((C, E), (D, F), (C, D), (E, F), (D, E), (C, F)))
+    def relation_block(self) -> tuple[int, ...]:
+        """``ext1_dimension`` = 1 + X.Y - d over the member pairs named in :data:`RELATIONS`."""
+        return tuple(ext1_dimension(getattr(self, x), getattr(self, y)) for x, y in RELATIONS)
 
 
 def _make_pair(C: DivisorClass, D: DivisorClass) -> WildPair:
@@ -120,7 +124,7 @@ def _make_pair(C: DivisorClass, D: DivisorClass) -> WildPair:
     pair = WildPair(C, D, two_h - C, two_h - D)
     if len(set(pair)) != 4:
         raise InternalError(f"wild pair members are not distinct: {pair}")
-    if pair.relation_block() != (3, 3, 2, 2, 0, 0):
+    if pair.relation_block() != tuple(RELATIONS.values()):
         raise InternalError(f"relation block violated for {pair}")
     return pair
 
@@ -176,18 +180,18 @@ def family_plan(surface: SurfaceModel, n: int) -> FamilyPlan:
     Rank 2: extensions of O(C) by O(E), a P^2 of bundles.  Rank 2m+1: m
     distinct rank-2 extensions of O(D) by O(C), then one extension by O(E),
     giving (P^2)^m.  Rank 2m+2: the odd-rank bundle extended by O(F),
-    giving P^(1+3m).  The Ext^1 dimensions are read off the pair's checked
-    relation block.
+    giving P^(1+3m).  The Ext^1 dimensions are read off :data:`RELATIONS`,
+    which every pair is checked against when it is found.
     """
+    if n < 2:
+        raise PreconditionViolated(f"rank must be at least 2, got {n}")
     if surface.degree > 6:
         raise UnsupportedSurface(
             f"the family construction needs degree <= 6, {surface} has degree {surface.degree}"
         )
-    if n < 2:
-        raise PreconditionViolated(f"rank must be at least 2, got {n}")
     pair = find_wild_pair(surface)
     C, D, E, F = pair
-    ce, df, cd, ef, de, cf = pair.relation_block()
+    ce, df, cd, ef, de, cf = RELATIONS.values()
     if n == 2:
         step = ExtensionStep(sub=f"O({E})", quotient=C, ext1_dim=ce)
         return FamilyPlan(2, RANK2, None, ce - 1, (step,), pair)

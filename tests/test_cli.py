@@ -7,7 +7,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from delpezzo import InternalError, acm, format_divisor, parse_divisor, surface_from_name
+from delpezzo import InternalError, acm, format_divisor, parse_divisor, surface_from_name, wild
 from delpezzo.cli import main
 from delpezzo.goldens import write_golden_dir
 
@@ -283,6 +283,19 @@ def test_wild_out_of_scope(capsys):
     code, out, err = run(capsys, "wild", "X2", "--rank", "2")
     assert code == 3
     assert "degree" in err
+
+
+def test_wild_evaluates_the_relation_block_once(capsys, monkeypatch):
+    calls = []
+    ext1_dimension = wild.ext1_dimension
+
+    def counted(C, D):
+        calls.append((C, D))
+        return ext1_dimension(C, D)
+
+    monkeypatch.setattr(wild, "ext1_dimension", counted)
+    assert run(capsys, "wild", "X6", "--rank", "7")[0] == 0
+    assert len(calls) == 6
 
 
 def test_wild_bad_rank(capsys):

@@ -55,3 +55,20 @@ def test_write_golden_dir_reproduces_shipped_goldens(tmp_path):
     assert sorted(path.name for path in tmp_path.iterdir()) == [path.name for path in shipped]
     for path in shipped:
         assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+def test_run_verification_rejects_a_bad_golden_dir(tmp_path):
+    nope, plain, partial = tmp_path / "nope", tmp_path / "golden.tsv", tmp_path / "partial"
+    plain.write_text("")
+    write_golden_dir(partial)
+    (partial / "X3.tsv").unlink()
+    cases = [
+        (nope, f"golden directory {str(nope)!r} does not exist"),
+        (plain, f"golden directory {str(plain)!r} is not a directory"),
+        (partial, f"missing golden files in {str(partial)!r}: X3.tsv"),
+    ]
+    for target, text in cases:
+        for arg in (target, str(target)):
+            with pytest.raises(ValueError) as info:
+                run_verification(arg)
+            assert str(info.value) == text

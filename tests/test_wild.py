@@ -253,6 +253,9 @@ def test_family_plan_errors():
         family_plan(Q, 2)
     with pytest.raises(PreconditionViolated):
         family_plan(X3, 1)
+    for surface, n in ((X2, 1), (Q, 0)):  # the rank is checked before the surface
+        with pytest.raises(PreconditionViolated, match="rank must be at least 2"):
+            family_plan(surface, n)
 
 
 def test_family_slope_examples():
