@@ -59,12 +59,6 @@ def sort_key(D: DivisorClass) -> tuple:
     return (degree(D), canonical, D.coeffs)
 
 
-def _expand(surface: SurfaceModel, a: int, tail: tuple[int, ...]) -> list[DivisorClass]:
-    # decreasing tails are increasing multiplicity vectors on blow-ups
-    perms = sorted(set(itertools.permutations(tail)), reverse=True)
-    return [DivisorClass(surface, (a,) + perm) for perm in perms]
-
-
 def _coefficient_range(surface: SurfaceModel, c: int, k: int) -> range:
     """Every value of coefficient k on a class D with D.H = c and D^2 = c - 2.
 
@@ -108,7 +102,7 @@ def classes_of_degree(surface: SurfaceModel, c: int) -> tuple[DivisorClass, ...]
     for a, t in itertools.product(_coefficient_range(surface, c, 0), tails):
         coeffs = (a,) + t
         if sum(map(mul, coeffs, surface.degree_vector)) == c and _criterion(surface, coeffs):
-            classes.extend(_expand(surface, a, t))
+            classes.extend(DivisorClass(surface, (a,) + perm) for perm in set(itertools.permutations(t)))
     classes.sort(key=sort_key)
     if len(set(classes)) != len(classes):
         raise InternalError(f"duplicate classes of degree {c} enumerated on {surface}")
@@ -140,13 +134,6 @@ def orbit_size(r: int, b: tuple[int, ...]) -> int:
     for mult in Counter(b).values():
         count //= math.factorial(mult)
     return count
-
-
-def expand_orbit(record: AcmRecord) -> list[DivisorClass]:
-    """All distinct classes obtained by permuting the exceptional divisors."""
-    surface = record.canonical.surface
-    a = record.canonical.coeffs[0]
-    return _expand(surface, a, record.canonical.coeffs[1:])
 
 
 def closed_form_catalog(surface: SurfaceModel) -> list[AcmRecord]:

@@ -3,10 +3,11 @@
 Covers: the lines, labelled, which are the ACM classes of degree 1;
 effectivity, very-ampleness and smooth members without line components,
 each a sign test against the lines, conics and twisted cubics of the ACM
-catalog; h^1 of the first negative twist; and the alternative basis
-D_0..D_r with its divisor decomposition.  The decomposition's exceptional
-frame is read off a twisted cubic N, an ACM class of degree 3: the r lines
-orthogonal to N, which a blow-down to P2 contracts, with l' = N.
+catalog, one per orbit under permuting e_1..e_r; h^1 of the first negative
+twist; and the alternative basis D_0..D_r with its divisor decomposition.
+The decomposition's exceptional frame is read off a twisted cubic N, an ACM
+class of degree 3: the r lines orthogonal to N, which a blow-down to P2
+contracts, with l' = N.
 """
 
 from __future__ import annotations
@@ -59,12 +60,18 @@ def enumerate_lines(surface: SurfaceModel) -> tuple[LineClass, ...]:
 
 
 @lru_cache(maxsize=None)
-def _pairing_rows(surface: SurfaceModel, degrees: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """(N.u for u in the basis) for each ACM class N of the given degrees, so
-    that D.N = sum(map(mul, D.coeffs, row))."""
-    return tuple(
-        tuple(intersect(N, u) for u in surface.units) for c in degrees for N in classes_of_degree(surface, c)
-    )
+def _orbit_rows(surface: SurfaceModel, degrees: tuple[int, ...]) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(N.u_0, the other N.u_i sorted descending) for the ACM classes N of the
+    given degrees, one row per orbit under permutations of u_1..u_r."""
+    rows = (tuple(intersect(N, u) for u in surface.units) for c in degrees for N in classes_of_degree(surface, c))
+    return tuple(dict.fromkeys((row[0], tuple(sorted(row[1:], reverse=True))) for row in rows))
+
+
+def orbit_minima(D: DivisorClass, degrees: tuple[int, ...]):
+    """The least D.N over each tail-permutation orbit of ACM classes N of these degrees (see is_effective)."""
+    head, *tail = D.coeffs
+    tail.sort()
+    return (head * n_0 + sum(map(mul, tail, n_tail)) for n_0, n_tail in _orbit_rows(D.surface, degrees))
 
 
 def is_effective(D: DivisorClass) -> bool:
@@ -83,8 +90,14 @@ def is_effective(D: DivisorClass) -> bool:
     has coefficient >= k in D and D - kL stays in the cone, with lower
     degree.  This ends at a nef class N, effective as h^2(N) = h^0(K - N) = 0
     ((K - N).H < 0) and chi(N) = N.(N - K)/2 + 1 >= 1.
+
+    One row per orbit suffices: permuting e_1..e_r preserves the pairing, H
+    and the ACM criterion, so the rows (N.l, N.e_1, ..., N.e_r) are closed
+    under permuting their tails, and over an orbit the least product pairs
+    D's ascending tail with the row's descending one (rearrangement inequality).
+    On the quadric the tail is the single entry N.m, so each row is one class.
     """
-    return all(sum(map(mul, D.coeffs, row)) >= 0 for row in _pairing_rows(D.surface, (2, 3)))
+    return all(m >= 0 for m in orbit_minima(D, (2, 3)))
 
 
 def is_very_ample(D: DivisorClass) -> bool:
@@ -95,7 +108,7 @@ def is_very_ample(D: DivisorClass) -> bool:
         raise UnsupportedSurface(
             f"the very-ampleness criterion is stated only for blow-ups of 1..6 points, not {surface}"
         )
-    return all(sum(map(mul, D.coeffs, row)) > 0 for row in _pairing_rows(surface, (1, 2)))
+    return all(m > 0 for m in orbit_minima(D, (1, 2)))
 
 
 def has_smooth_nonline_member(D: DivisorClass) -> bool:
@@ -110,7 +123,7 @@ def has_smooth_nonline_member(D: DivisorClass) -> bool:
         raise PreconditionViolated("the smooth-member criterion needs a nonzero class")
     if not is_effective(D):
         raise PreconditionViolated(f"{D} is not effective")
-    return all(sum(map(mul, D.coeffs, row)) >= 0 for row in _pairing_rows(D.surface, (1,)))
+    return all(m >= 0 for m in orbit_minima(D, (1,)))
 
 
 def h1_initialized_twist(D: DivisorClass) -> int:

@@ -3,26 +3,27 @@
 One file per surface, named ``<surface>.tsv``, one line per enumerated class:
 ``degree<TAB>divisor-text<TAB>orbit-count`` in the canonical enumeration
 order.  Verification re-enumerates each surface, diffs against the golden
-file and the closed-form catalog, and re-checks the cheap per-class
-invariants.
+file and, orbit by orbit, the closed-form catalog, and re-checks the cheap
+per-class invariants.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
+from collections import Counter
 from pathlib import Path
 
 from .acm import (
+    AcmRecord,
     closed_form_catalog,
     closed_form_quadric,
     degree_count_table,
     enumerate_acm,
-    expand_orbit,
     orbit_size,
     sort_key,
 )
-from .geometry import enumerate_lines, is_effective
+from .geometry import enumerate_lines, is_effective, orbit_minima
 from .picard import (
     BLOWUP,
     SURFACE_NAMES,
@@ -52,7 +53,7 @@ def write_golden_dir(directory: str | Path) -> None:
     for name in SURFACE_NAMES:
         surface = surface_from_name(name)
         path = directory / f"{name}.tsv"
-        path.write_text("\n".join(golden_lines(surface)) + "\n")
+        path.write_text("\n".join(golden_lines(surface)) + "\n", encoding="utf-8")
 
 
 def _diff_golden(surface: SurfaceModel, recorded: list[str]) -> list[str]:
@@ -74,11 +75,11 @@ def _check_invariants(surface: SurfaceModel) -> list[str]:
 
     if surface.kind == BLOWUP:
         catalog = closed_form_catalog(surface)
-        expanded = sorted((c for record in catalog for c in expand_orbit(record)), key=sort_key)
     else:
-        catalog = []
-        expanded = closed_form_quadric(surface)
-    if expanded != classes:
+        catalog = [AcmRecord(D, degree(D), 1) for D in closed_form_quadric(surface)]
+    # distinct classes, each canonical writing as often as its orbit count: the catalog's orbits
+    orbits = Counter({sort_key(record.canonical)[1]: record.orbit_count for record in catalog})
+    if Counter(sort_key(D)[1] for D in classes) != orbits or len(set(classes)) != len(classes):
         failures.append(f"{surface.name}: closed-form catalog disagrees with enumeration")
 
     lines = enumerate_lines(surface)
@@ -89,17 +90,16 @@ def _check_invariants(surface: SurfaceModel) -> list[str]:
             failures.append(f"{surface.name} {format_divisor(D)}: degree out of range")
         if not D.is_zero and not is_effective(D):
             failures.append(f"{surface.name} {format_divisor(D)}: not effective")
-        for L in lines:
-            prod = intersect(D, L.divisor)
-            if prod < -1 or (prod == -1 and D != L.divisor):
-                failures.append(
-                    f"{surface.name} {format_divisor(D)}: meets {L.label} in {prod}"
-                )
+        if any(m < 0 for m in orbit_minima(D, (1,))):  # some line meets D negatively
+            for L in lines:
+                prod = intersect(D, L.divisor)
+                if prod < -1 or (prod == -1 and D != L.divisor):
+                    failures.append(f"{surface.name} {format_divisor(D)}: meets {L.label} in {prod}")
 
     by_degree: dict[int, int] = {}
     for record in catalog:
         by_degree[record.degree] = by_degree.get(record.degree, 0) + record.orbit_count
-    if surface.kind == BLOWUP and by_degree != degree_count_table(surface):
+    if by_degree != degree_count_table(surface):
         failures.append(f"{surface.name}: orbit-count sums disagree with the degree table")
     return failures
 
@@ -121,7 +121,7 @@ def run_verification(golden_dir: str | Path) -> tuple[bool, list[str]]:
     ok = True
     for name in SURFACE_NAMES:
         surface = surface_from_name(name)
-        recorded = (golden_dir / f"{name}.tsv").read_text().splitlines()
+        recorded = (golden_dir / f"{name}.tsv").read_text(encoding="utf-8").splitlines()
         failures = _diff_golden(surface, recorded) + _check_invariants(surface)
         if failures:
             ok = False

@@ -26,7 +26,6 @@ from delpezzo.acm import (
     closed_form_quadric,
     degree_count_table,
     enumerate_acm,
-    expand_orbit,
     orbit_size,
 )
 from delpezzo.geometry import decompose, enumerate_lines, is_effective
@@ -41,6 +40,7 @@ from delpezzo.wild import (
 )
 
 from paper_values import EXPECTED_COUNTS, LINE_COUNTS, TOTALS, WILD_TABLE
+from test_acm import expand_orbit
 
 BLOWUPS = [blow_up(r) for r in range(7)]
 ALL_SURFACES = BLOWUPS + [quadric()]

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from delpezzo import (
+    DivisorClass,
     PreconditionViolated,
     arithmetic_genus,
     blow_up,
@@ -22,7 +23,6 @@ from delpezzo.acm import (
     closed_form_quadric,
     degree_count_table,
     enumerate_acm,
-    expand_orbit,
     h0_hyperplane_residual,
     is_acm_initialized,
     orbit_size,
@@ -173,6 +173,13 @@ def test_orbit_size_counts_distinct_permutations(data):
 
 
 # --- closed-form catalog (the independent oracle) -------------------------------------
+
+
+def expand_orbit(record):
+    """The record's orbit written out: every distinct class obtained by
+    permuting the exceptional divisors of its representative."""
+    a, *tail = record.canonical.coeffs
+    return [DivisorClass(record.canonical.surface, (a,) + perm) for perm in set(itertools.permutations(tail))]
 
 
 @pytest.mark.parametrize("r", range(7))

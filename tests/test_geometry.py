@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -30,6 +31,7 @@ from delpezzo.geometry import (
     has_smooth_nonline_member,
     is_effective,
     is_very_ample,
+    orbit_minima,
 )
 
 from paper_values import LINE_COUNTS
@@ -298,6 +300,90 @@ def test_low_degree_acm_classes():
         nef_rays = [N for N in catalog if degree(N) in (2, 3)]
         assert len(nef_rays) == counts[surface.name]
         assert all(intersect(N, L) >= 0 for N in nef_rays for L in lines)
+
+
+# --- positivity per orbit, against the former test on every row -------------------
+
+
+@functools.lru_cache(maxsize=None)
+def former_pairing_rows(surface, degrees):
+    """(N.u for u in the basis) for every ACM class N of the given degrees:
+    the rows the positivity tests read before they read one per orbit."""
+    return [tuple(intersect(N, u) for u in surface.units) for c in degrees for N in classes_of_degree(surface, c)]
+
+
+def former_products(D, degrees):
+    """D.N for every ACM class N of the given degrees, one dot product per row."""
+    return [sum(map(mul, D.coeffs, row)) for row in former_pairing_rows(D.surface, degrees)]
+
+
+def positivity_box(surface):
+    """Seeded classes with coefficients in [-6, 6], their negatives, multiples
+    of H, and 10^100 times classes of the box plus a small perturbation."""
+    rng = random.Random(f"positivity {surface.name}")
+    small = [divisor(surface, *(rng.randint(-6, 6) for _ in range(surface.rank))) for _ in range(300)]
+    nudge = [divisor(surface, *(rng.randint(-2, 2) for _ in range(surface.rank))) for _ in range(100)]
+    huge = [10**100 * D + E for D, E in zip(small, nudge)]
+    multiples = [k * hyperplane(surface) for k in (0, 1, 2, 10**100)]
+    return small + [-D for D in small] + multiples + huge + [-D for D in huge]
+
+
+@pytest.mark.parametrize("surface", ALL_SURFACES, ids=str)
+def test_positivity_agrees_with_the_former_full_rows(surface):
+    sample = positivity_box(surface)
+    for degrees in ((2, 3), (1, 2), (1,)):
+        assert [min(orbit_minima(D, degrees), default=None) for D in sample] == [
+            min(former_products(D, degrees), default=None) for D in sample
+        ]
+    effective = [is_effective(D) for D in sample]
+    assert effective == [all(p >= 0 for p in former_products(D, (2, 3))) for D in sample]
+    assert any(effective) and not all(effective)
+    if surface.kind == "blowup" and surface.r >= 1:
+        ample = [is_very_ample(D) for D in sample]
+        assert ample == [all(p > 0 for p in former_products(D, (1, 2))) for D in sample]
+        assert any(ample) and not all(ample)
+    for D, eff in zip(sample, effective):
+        if eff and not D.is_zero:
+            assert has_smooth_nonline_member(D) == all(p >= 0 for p in former_products(D, (1,)))
+        else:
+            with pytest.raises(PreconditionViolated):
+                has_smooth_nonline_member(D)
+
+
+# orbit rows read by (is_effective, is_very_ample, has_smooth_nonline_member):
+# ACM classes of degree 2 and 3, 1 and 2, and 1, up to permuting e_1..e_r
+ORBIT_ROWS = {
+    "X0": (1, 0, 0),
+    "X1": (2, 2, 1),
+    "X2": (2, 3, 2),
+    "X3": (3, 3, 2),
+    "X4": (4, 4, 2),
+    "X5": (5, 5, 3),
+    "X6": (8, 6, 3),
+    "Q": (2, 2, 0),
+}
+
+
+@pytest.mark.parametrize("surface", ALL_SURFACES, ids=str)
+def test_orbit_row_counts(surface):
+    H = hyperplane(surface)
+    counts = tuple(len(list(orbit_minima(H, degrees))) for degrees in ((2, 3), (1, 2), (1,)))
+    assert counts == ORBIT_ROWS[surface.name]
+
+
+@given(data=st.data())
+def test_permuting_the_tail_changes_no_verdict(data):
+    surface = data.draw(st.sampled_from([blow_up(r) for r in range(1, 7)]), label="surface")
+    scale = data.draw(st.sampled_from([1, 10**100]), label="scale")
+    coeffs = [scale * x for x in data.draw(st.tuples(st.integers(-2, 12), *[st.integers(-4, 3)] * surface.r))]
+    tail = data.draw(st.permutations(coeffs[1:]), label="tail")
+
+    def verdicts(D):
+        effective = is_effective(D)
+        smooth = has_smooth_nonline_member(D) if effective and not D.is_zero else None
+        return effective, is_very_ample(D), smooth
+
+    assert verdicts(divisor(surface, *coeffs)) == verdicts(divisor(surface, coeffs[0], *tail))
 
 
 # --- very ample / smooth members -------------------------------------------------

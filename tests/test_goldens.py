@@ -1,12 +1,15 @@
 import itertools
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from delpezzo import SURFACE_NAMES, surface_from_name
-from delpezzo.acm import enumerate_acm
-from delpezzo.goldens import golden_lines, run_verification, write_golden_dir
+from delpezzo import SURFACE_NAMES, goldens, parse_divisor, surface_from_name
+from delpezzo.acm import degree_count_table, enumerate_acm
+from delpezzo.goldens import _check_invariants, golden_lines, run_verification, write_golden_dir
 
 GOLDEN_DIR = Path(__file__).parent.parent / "golden"
 
@@ -72,3 +75,74 @@ def test_run_verification_rejects_a_bad_golden_dir(tmp_path):
             with pytest.raises(ValueError) as info:
                 run_verification(arg)
             assert str(info.value) == text
+
+
+# --- the invariant checks behind verify, each failure message pinned ---------------
+
+
+def check_with(monkeypatch, name, edit):
+    """_check_invariants on surface ``name`` with its class list replaced by
+    ``edit(classes, parse)``, parse reading divisor text on that surface."""
+    surface = surface_from_name(name)
+    classes = enumerate_acm(surface)
+    parse = lambda text: parse_divisor(surface, text)  # noqa: E731
+    monkeypatch.setattr(goldens, "enumerate_acm", lambda s: edit(list(classes), parse))
+    return _check_invariants(surface)
+
+
+@pytest.mark.parametrize("name", SURFACE_NAMES)
+def test_invariants_hold_on_the_enumeration(name):
+    # the lines are in the list and meet themselves in -1, which is no failure
+    assert _check_invariants(surface_from_name(name)) == []
+
+
+def test_invariant_failures_name_each_offending_line(monkeypatch):
+    bad = ("l-e1-e2-e3", "2e1+2e2", "3l", "-e1")
+    failures = check_with(monkeypatch, "X3", lambda classes, parse: classes + [parse(t) for t in bad])
+    assert failures == [
+        "X3: closed-form catalog disagrees with enumeration",
+        "X3 l-e1-e2-e3: not effective",
+        "X3 l-e1-e2-e3: meets F12 in -1",
+        "X3 l-e1-e2-e3: meets F13 in -1",
+        "X3 l-e1-e2-e3: meets F23 in -1",
+        "X3 2e1+2e2: genus is not 0",
+        "X3 2e1+2e2: meets E1 in -2",
+        "X3 2e1+2e2: meets E2 in -2",
+        "X3 3l: genus is not 0",
+        "X3 3l: degree out of range",
+        "X3 -e1: genus is not 0",
+        "X3 -e1: degree out of range",
+        "X3 -e1: not effective",
+        "X3 -e1: meets F12 in -1",
+        "X3 -e1: meets F13 in -1",
+    ]
+
+
+def test_catalog_check_catches_a_missing_and_a_duplicated_class(monkeypatch):
+    """e2 dropped, or replaced by its orbit-mate e1: the orbit counts differ
+    in the first case, only the distinctness of the classes in the second."""
+    missing = lambda classes, parse: [D for D in classes if D != parse("e2")]  # noqa: E731
+    duplicated = lambda classes, parse: [parse("e1") if D == parse("e2") else D for D in classes]  # noqa: E731
+    for edit in (missing, duplicated):
+        assert check_with(monkeypatch, "X6", edit) == ["X6: closed-form catalog disagrees with enumeration"]
+
+
+def test_orbit_count_sums_are_checked_against_the_degree_table(monkeypatch):
+    table = degree_count_table(surface_from_name("X6"))
+    monkeypatch.setattr(goldens, "degree_count_table", lambda surface: {**table, 1: table[1] + 1})
+    assert check_with(monkeypatch, "X6", lambda classes, parse: classes) == [
+        "X6: orbit-count sums disagree with the degree table"
+    ]
+
+
+def test_verify_and_regen_read_and_write_utf8_explicitly(tmp_path):
+    """Under -X warn_default_encoding, an open without an encoding is an error."""
+    root = Path(__file__).parent.parent
+    strict = [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning"]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    for argv in (
+        ["-m", "delpezzo.cli", "verify", "--golden", str(GOLDEN_DIR)],
+        [str(root / "scripts" / "regen_goldens.py"), str(tmp_path)],
+    ):
+        result = subprocess.run(strict + argv, env=env, capture_output=True, text=True, timeout=60)
+        assert (result.returncode, result.stderr) == (0, ""), argv
