@@ -7,8 +7,8 @@ rational normal curves of degree D.H.  Enumeration is served per degree
 Hodge index theorem proves to hold every solution, as a leading coefficient
 times a sorted tail, and expands each tail into all its distinct
 permutations; :func:`enumerate_acm` concatenates the degrees.  The
-closed-form catalog regenerates the same classes from the explicit five-row
-table plus the zero and exceptional classes, giving an independent oracle.
+closed-form catalog regenerates the same classes on every surface from the
+listed rows (five table rows on blow-ups), giving an independent oracle.
 ``geometry`` reads the (-1)-lines and its positivity tests off the classes
 of degree 1, 2 and 3, and ``wild`` its pairs off those of degree H^2.
 """
@@ -21,9 +21,8 @@ from collections import Counter, namedtuple
 from functools import lru_cache
 from operator import mul
 
-from .errors import InternalError, PreconditionViolated, SurfaceMismatch, UnsupportedSurface
+from .errors import InternalError, PreconditionViolated
 from .picard import (
-    BLOWUP,
     QUADRIC,
     DivisorClass,
     SurfaceModel,
@@ -137,47 +136,41 @@ def orbit_size(r: int, b: tuple[int, ...]) -> int:
 
 
 def closed_form_catalog(surface: SurfaceModel) -> list[AcmRecord]:
-    """Catalog generated directly from the explicit table rows.
+    """Catalog generated directly from the explicit table rows, one record per
+    orbit under permuting the exceptional divisors, in ``sort_key`` order.
 
-    Rows: l - e1..em (m <= min(2,r)); 2l - e1..em (max(r-3,0) <= m <= min(5,r));
-    3l - 2e1 - e2..em (max(1,r-1) <= m <= r); 4l - 2e1 - 2e2 - 2e3 - e4..er
-    (r >= 3); 5l - 2e1..2e6 (r = 6); plus the zero class and the exceptional
-    divisors.
+    Blow-ups of r points: l - e1..em (m <= min(2,r)); 2l - e1..em
+    (max(r-3,0) <= m <= min(5,r)); 3l - 2e1 - e2..em (max(1,r-1) <= m <= r);
+    4l - 2e1 - 2e2 - 2e3 - e4..er (r >= 3); 5l - 2e1..2e6 (r = 6); plus the
+    zero class and the exceptional divisors.  The quadric: 0, h + bm and
+    bh + m for b = 0..3, eight classes, each its own orbit as the tail is the
+    single coefficient of m.
     """
-    if surface.kind != BLOWUP:
-        raise UnsupportedSurface("the closed-form catalog is stated for blow-ups")
-    r = surface.r
     records = [AcmRecord(zero_class(surface), 0, 1)]
+    if surface.kind == QUADRIC:
+        classes = {DivisorClass(surface, v) for b in range(4) for v in ((1, b), (b, 1))}
+        records.extend(AcmRecord(D, degree(D), 1) for D in classes)
+    else:
+        r = surface.r
 
-    def add(a: int, b: tuple[int, ...]) -> None:
-        D = from_multiplicities(surface, a, b)
-        records.append(AcmRecord(D, 3 * a - sum(b), orbit_size(r, b)))
+        def add(a: int, b: tuple[int, ...]) -> None:
+            D = from_multiplicities(surface, a, b)
+            records.append(AcmRecord(D, 3 * a - sum(b), orbit_size(r, b)))
 
-    if r >= 1:
-        add(0, (-1,) + (0,) * (r - 1))
-    for m in range(0, min(2, r) + 1):
-        add(1, (1,) * m + (0,) * (r - m))
-    for m in range(max(r - 3, 0), min(5, r) + 1):
-        add(2, (1,) * m + (0,) * (r - m))
-    for m in range(max(1, r - 1), r + 1):
-        add(3, (2,) + (1,) * (m - 1) + (0,) * (r - m))
-    if r >= 3:
-        add(4, (2, 2, 2) + (1,) * (r - 3))
-    if r == 6:
-        add(5, (2,) * 6)
+        if r >= 1:
+            add(0, (-1,) + (0,) * (r - 1))
+        for m in range(0, min(2, r) + 1):
+            add(1, (1,) * m + (0,) * (r - m))
+        for m in range(max(r - 3, 0), min(5, r) + 1):
+            add(2, (1,) * m + (0,) * (r - m))
+        for m in range(max(1, r - 1), r + 1):
+            add(3, (2,) + (1,) * (m - 1) + (0,) * (r - m))
+        if r >= 3:
+            add(4, (2, 2, 2) + (1,) * (r - 3))
+        if r == 6:
+            add(5, (2,) * 6)
     records.sort(key=lambda rec: sort_key(rec.canonical))
     return records
-
-
-def closed_form_quadric(surface: SurfaceModel) -> list[DivisorClass]:
-    """The eight quadric classes listed by the classification: 0, h+bm, bh+m."""
-    if surface.kind != QUADRIC:
-        raise SurfaceMismatch("expected the quadric")
-    classes = {zero_class(surface)}
-    for b in range(0, 4):
-        classes.add(DivisorClass(surface, (1, b)))
-        classes.add(DivisorClass(surface, (b, 1)))
-    return sorted(classes, key=sort_key)
 
 
 def degree_count_table(surface: SurfaceModel) -> dict[int, int]:

@@ -23,7 +23,6 @@ from .picard import (
     DivisorClass,
     SurfaceModel,
     arithmetic_genus,
-    canonical_class,
     hyperplane,
     intersect,
 )
@@ -148,24 +147,19 @@ def h1_initialized_twist(D: DivisorClass) -> int:
 _BASE_L_COEFF = (1, 1, 2, 2, 2, 3, 3)
 
 
-def _base_divisor(line_class: DivisorClass, exceptional: tuple[DivisorClass, ...], k: int) -> DivisorClass:
-    out = _BASE_L_COEFF[k] * line_class
-    for i in range(k):
-        out = out - exceptional[i]
-    return out
-
-
 def alternative_base(surface: SurfaceModel) -> tuple[DivisorClass, ...]:
     """The base-point-free basis D_0 = l, D_1 = l-e1, ..., D_r of Pic."""
     if surface.kind != BLOWUP or not 2 <= surface.r <= 6:
         raise UnsupportedSurface(f"alternative base needs a blow-up of 2..6 points, not {surface}")
     l, *e = surface.units
-    return tuple(_base_divisor(l, tuple(e), k) for k in range(surface.r + 1))
+    return BaseDecomposition(l, tuple(e), ()).base_divisors()
 
 
-class BaseDecomposition(namedtuple("BaseDecomposition", "exceptional alphas")):
+class BaseDecomposition(namedtuple("BaseDecomposition", "line_class exceptional alphas")):
     """Writing of a divisor as sum(alpha_k * D_k) in a chosen exceptional frame.
 
+    ``line_class`` is the class l' of the frame: the twisted cubic N that
+    ``decompose`` read the frame off, with 3l' = H + sum(e_i').
     ``exceptional`` holds the r mutually disjoint (-1)-lines used as the
     exceptional classes e_1', ..., e_r' of the frame; for r <= 4 they are a
     permutation of the standard e_i, for r = 5, 6 the minimising-line choice
@@ -175,19 +169,15 @@ class BaseDecomposition(namedtuple("BaseDecomposition", "exceptional alphas")):
 
     __slots__ = ()
 
-    def line_class(self) -> DivisorClass:
-        """The class l' of the frame, recovered from -K + sum(e_i') = 3l'."""
-        surface = self.exceptional[0].surface
-        total = -canonical_class(surface)
-        for ec in self.exceptional:
-            total = total + ec
-        if any(c % 3 for c in total.coeffs):
-            raise InternalError("exceptional frame does not blow down to the plane")
-        return DivisorClass(surface, tuple(c // 3 for c in total.coeffs))
-
     def base_divisors(self) -> tuple[DivisorClass, ...]:
-        lp = self.line_class()
-        return tuple(_base_divisor(lp, self.exceptional, k) for k in range(len(self.exceptional) + 1))
+        """D_0, ..., D_r of the frame: D_k = c_k l' - e_1' - ... - e_k'."""
+        bases = []
+        for k, c in enumerate(_BASE_L_COEFF[: len(self.exceptional) + 1]):
+            out = c * self.line_class
+            for ec in self.exceptional[:k]:
+                out = out - ec
+            bases.append(out)
+        return tuple(bases)
 
     def reconstruct(self) -> DivisorClass:
         bases = self.base_divisors()
@@ -251,7 +241,7 @@ def decompose(D: DivisorClass) -> BaseDecomposition:
         raise InternalError("exceptional frame is not sorted by multiplicity")
     alphas = tuple(b[i] - b[i + 1] for i in range(r - 1)) + (b[r - 1],)
     alpha_0 = intersect(D, N) - sum(map(mul, _BASE_L_COEFF[1:], alphas))
-    decomposition = BaseDecomposition(tuple(lines[k] for k in order), (alpha_0,) + alphas)
+    decomposition = BaseDecomposition(N, tuple(lines[k] for k in order), (alpha_0,) + alphas)
     if decomposition.reconstruct() != D:
         raise InternalError(f"decomposition of {D} does not reconstruct")
     return decomposition

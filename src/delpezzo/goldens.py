@@ -15,9 +15,7 @@ from collections import Counter
 from pathlib import Path
 
 from .acm import (
-    AcmRecord,
     closed_form_catalog,
-    closed_form_quadric,
     degree_count_table,
     enumerate_acm,
     orbit_size,
@@ -25,7 +23,6 @@ from .acm import (
 )
 from .geometry import enumerate_lines, is_effective, orbit_minima
 from .picard import (
-    BLOWUP,
     SURFACE_NAMES,
     SurfaceModel,
     arithmetic_genus,
@@ -72,11 +69,7 @@ def _diff_golden(surface: SurfaceModel, recorded: list[str]) -> list[str]:
 def _check_invariants(surface: SurfaceModel) -> list[str]:
     failures = []
     classes = enumerate_acm(surface)
-
-    if surface.kind == BLOWUP:
-        catalog = closed_form_catalog(surface)
-    else:
-        catalog = [AcmRecord(D, degree(D), 1) for D in closed_form_quadric(surface)]
+    catalog = closed_form_catalog(surface)
     # distinct classes, each canonical writing as often as its orbit count: the catalog's orbits
     orbits = Counter({sort_key(record.canonical)[1]: record.orbit_count for record in catalog})
     if Counter(sort_key(D)[1] for D in classes) != orbits or len(set(classes)) != len(classes):

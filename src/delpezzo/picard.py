@@ -9,8 +9,8 @@ exact integer arithmetic.
 
 Sign convention: a blow-up class is stored as a*l + sum(c_i * e_i).  The
 traditional presentation a*l - sum(b_i * e_i) therefore has c_i = -b_i; the
-b-vector is available through :func:`multiplicities` and is used by the
-text formatter, which prints ``3l-2e1-e2`` style strings.
+b-vector is available through :func:`multiplicities`.  The text formatter
+prints the coefficients as they are stored, e.g. ``3l-2e1-e2``.
 """
 
 import functools

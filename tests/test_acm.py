@@ -20,7 +20,6 @@ from delpezzo import acm
 from delpezzo.acm import (
     ambient_dimension,
     closed_form_catalog,
-    closed_form_quadric,
     degree_count_table,
     enumerate_acm,
     h0_hyperplane_residual,
@@ -182,18 +181,14 @@ def expand_orbit(record):
     return [DivisorClass(record.canonical.surface, (a,) + perm) for perm in set(itertools.permutations(tail))]
 
 
-@pytest.mark.parametrize("r", range(7))
+@pytest.mark.parametrize("r", [*range(7), "Q"])
 def test_catalog_equals_enumeration(r):
-    surface = blow_up(r)
+    surface = Q if r == "Q" else blow_up(r)
     expanded = sorted(
         (cls for record in closed_form_catalog(surface) for cls in expand_orbit(record)),
         key=sort_key,
     )
     assert expanded == enumerate_acm(surface)
-
-
-def test_quadric_closed_form_equals_enumeration():
-    assert closed_form_quadric(Q) == enumerate_acm(Q)
 
 
 def test_catalog_rows_spot_checks():
@@ -205,9 +200,9 @@ def test_catalog_rows_spot_checks():
     assert x0 == ["0", "l", "2l"]
 
 
-@pytest.mark.parametrize("r", range(7))
+@pytest.mark.parametrize("r", [*range(7), "Q"])
 def test_orbit_counts_sum_to_degree_table(r):
-    surface = blow_up(r)
+    surface = Q if r == "Q" else blow_up(r)
     sums: dict[int, int] = {}
     for rec in closed_form_catalog(surface):
         sums[rec.degree] = sums.get(rec.degree, 0) + rec.orbit_count
@@ -235,6 +230,8 @@ def test_h1_twist_examples():
     assert h1_initialized_twist(parse_divisor(X2, "2l-2e1")) == 1
     with pytest.raises(PreconditionViolated):
         h1_initialized_twist(parse_divisor(X0, "3l"))  # equals H, not initialized
+    with pytest.raises(PreconditionViolated, match="is not effective"):
+        h1_initialized_twist(parse_divisor(X2, "l-2e1"))
     with pytest.raises(PreconditionViolated):
         h1_initialized_twist(zero_class(X3))
 

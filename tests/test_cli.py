@@ -11,7 +11,9 @@ from delpezzo import InternalError, acm, format_divisor, parse_divisor, surface_
 from delpezzo.cli import main
 from delpezzo.goldens import write_golden_dir
 
-SCHEMA = json.loads((Path(__file__).parent.parent / "schemas" / "acm-output.schema.json").read_text())
+SCHEMA = json.loads(
+    (Path(__file__).parent.parent / "schemas" / "acm-output.schema.json").read_text(encoding="utf-8")
+)
 GOLDEN_DIR = str(Path(__file__).parent.parent / "golden")
 
 
@@ -315,11 +317,11 @@ def test_verify_pristine_goldens(capsys):
 def test_verify_perturbed_golden(tmp_path, capsys):
     write_golden_dir(tmp_path)
     target = tmp_path / "X5.tsv"
-    lines = target.read_text().splitlines()
+    lines = target.read_text(encoding="utf-8").splitlines()
     bad = lines[10].split("\t")
     bad[2] = str(int(bad[2]) + 1)  # perturb one orbit count
     lines[10] = "\t".join(bad)
-    target.write_text("\n".join(lines) + "\n")
+    target.write_text("\n".join(lines) + "\n", encoding="utf-8")
     code, out, err = run(capsys, "verify", "--golden", str(tmp_path))
     assert code == 1
     assert "X5" in out and f"d={bad[0]}" in out
@@ -338,7 +340,7 @@ def test_verify_missing_dir(tmp_path, capsys):
 
 def test_verify_golden_path_that_is_a_file(tmp_path, capsys):
     target = tmp_path / "golden.tsv"
-    target.write_text("")
+    target.write_text("", encoding="utf-8")
     err = f"acm: error: golden directory {str(target)!r} is not a directory\n"
     assert run(capsys, "verify", "--golden", str(target)) == (2, "", err)
 
@@ -363,7 +365,7 @@ def test_module_entry_point_runs_the_cli(tmp_path):
     # -m puts the working directory on sys.path, so the package is found in src/
     src = Path(__file__).parent.parent / "src"
     argv = [sys.executable, "-m", "delpezzo.cli", "verify", "--golden", str(tmp_path / "nope")]
-    result = subprocess.run(argv, cwd=src, capture_output=True, text=True, timeout=60)
+    result = subprocess.run(argv, cwd=src, capture_output=True, encoding="utf-8", timeout=60)
     assert result.returncode == 2
     assert "does not exist" in result.stderr
 
@@ -375,7 +377,7 @@ def test_cli_import_loads_no_dataclasses_or_typing():
         [sys.executable, "-S", "-c", "import sys, delpezzo.cli; print(*sys.modules)"],
         env=dict(os.environ, PYTHONPATH=src),
         capture_output=True,
-        text=True,
+        encoding="utf-8",
         timeout=60,
     )
     assert result.returncode == 0, result.stderr

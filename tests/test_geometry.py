@@ -24,7 +24,6 @@ from delpezzo import (
 )
 from delpezzo.acm import classes_of_degree, enumerate_acm
 from delpezzo.geometry import (
-    BaseDecomposition,
     alternative_base,
     decompose,
     enumerate_lines,
@@ -510,6 +509,7 @@ def test_decompose_reconstruction(r, data):
     D = divisor(surface, *data.draw(st.tuples(*([st.integers(-10, 10)] * surface.rank))))
     dec = decompose(D)
     assert dec.reconstruct() == D
+    assert 3 * dec.line_class == hyperplane(surface) + sum(dec.exceptional, zero_class(surface))
     assert all(alpha >= 0 for alpha in dec.alphas[1:-1])
     assert dec.alphas[-1] == intersect(D, dec.exceptional[-1])
     if r >= 5:
@@ -554,7 +554,8 @@ def former_decompose(D):
         completion = former_complete_disjoint([last, second], [L for L in lines if L not in (last, second)], r)
         others = sorted(completion[2:], key=lambda L: (-intersect(D, L), lines.index(L)))
         frame = tuple(others) + (second, last)
-    a = intersect(D, BaseDecomposition(frame, ()).line_class())
+    total = sum(frame, hyperplane(surface))  # 3l' = H + sum(e_i')
+    a = intersect(D, divisor(surface, *(c // 3 for c in total.coeffs)))
     b = [intersect(D, ec) for ec in frame]
     tail = tuple(b[i] - b[i + 1] for i in range(r - 1)) + (b[r - 1],)
     return frame, (a - sum(map(mul, (1, 2, 2, 2, 3, 3), tail)),) + tail

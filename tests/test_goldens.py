@@ -18,13 +18,13 @@ LINE_RE = re.compile(r"^\d\t[0-9A-Za-z+\-]+\t\d+$")
 
 @pytest.mark.parametrize("name", SURFACE_NAMES)
 def test_shipped_golden_matches_enumeration(name):
-    recorded = (GOLDEN_DIR / f"{name}.tsv").read_text().splitlines()
+    recorded = (GOLDEN_DIR / f"{name}.tsv").read_text(encoding="utf-8").splitlines()
     assert recorded == golden_lines(surface_from_name(name))
 
 
 @pytest.mark.parametrize("name", SURFACE_NAMES)
 def test_golden_line_format(name):
-    for line in (GOLDEN_DIR / f"{name}.tsv").read_text().splitlines():
+    for line in (GOLDEN_DIR / f"{name}.tsv").read_text(encoding="utf-8").splitlines():
         assert LINE_RE.match(line), line
 
 
@@ -62,7 +62,7 @@ def test_write_golden_dir_reproduces_shipped_goldens(tmp_path):
 
 def test_run_verification_rejects_a_bad_golden_dir(tmp_path):
     nope, plain, partial = tmp_path / "nope", tmp_path / "golden.tsv", tmp_path / "partial"
-    plain.write_text("")
+    plain.write_text("", encoding="utf-8")
     write_golden_dir(partial)
     (partial / "X3.tsv").unlink()
     cases = [
@@ -144,5 +144,5 @@ def test_verify_and_regen_read_and_write_utf8_explicitly(tmp_path):
         ["-m", "delpezzo.cli", "verify", "--golden", str(GOLDEN_DIR)],
         [str(root / "scripts" / "regen_goldens.py"), str(tmp_path)],
     ):
-        result = subprocess.run(strict + argv, env=env, capture_output=True, text=True, timeout=60)
+        result = subprocess.run(strict + argv, env=env, capture_output=True, encoding="utf-8", timeout=60)
         assert (result.returncode, result.stderr) == (0, ""), argv

@@ -16,9 +16,11 @@ from delpezzo import (
     divisor,
     euler_characteristic,
     format_divisor,
+    from_multiplicities,
     from_ruled,
     hyperplane,
     intersect,
+    multiplicities,
     parse_divisor,
     quadric,
     self_intersection,
@@ -190,6 +192,30 @@ def test_ruled_round_trip_other_way(a, c1):
 def test_ruled_wrong_surface():
     with pytest.raises(SurfaceMismatch):
         to_ruled(divisor(X2, 1, 0, 0))
+
+
+# --- multiplicity vectors a*l - sum(b_i e_i) ------------------------------------
+
+
+@pytest.mark.parametrize("r", range(1, 7))
+@given(a=st.integers(-10, 10), data=st.data())
+def test_multiplicities_round_trip(r, a, data):
+    surface = blow_up(r)
+    b = data.draw(st.tuples(*([st.integers(-10, 10)] * r)))
+    D = from_multiplicities(surface, a, b)
+    assert D.coeffs == (a,) + tuple(-x for x in b)
+    assert multiplicities(D) == b
+    assert from_multiplicities(surface, a, list(b)) == D
+
+
+def test_multiplicities_need_a_blow_up_and_one_entry_per_point():
+    with pytest.raises(SurfaceMismatch):
+        from_multiplicities(Q, 1, (1,))
+    with pytest.raises(SurfaceMismatch):
+        multiplicities(divisor(Q, 1, 1))
+    with pytest.raises(ValueError) as err:
+        from_multiplicities(X3, 1, (1, 1))
+    assert str(err.value) == "expected 3 multiplicities, got 2"
 
 
 # --- text grammar -------------------------------------------------------------
@@ -394,6 +420,8 @@ def test_post_init_runs_once_per_construction(monkeypatch):
     -D
     D + D
     2 * D
+    with pytest.raises(TypeError):
+        2.5 * D  # __rmul__ takes integers only
     parse_divisor(X2, "l-e1")
     assert calls == [(1, -1, 0), (-1, 1, 0), (2, -2, 0), (2, -2, 0), (1, -1, 0)]
     with pytest.raises(ValueError):

@@ -284,6 +284,8 @@ def test_zero_regularity():
     assert h2_twist_minus_2(e1) == 7
     with pytest.raises(PreconditionViolated):
         is_zero_regular_acm(hyperplane(X3))
+    with pytest.raises(PreconditionViolated):
+        h2_twist_minus_2(hyperplane(X3))
 
 
 @pytest.mark.parametrize("surface", ALL_SURFACES, ids=str)
