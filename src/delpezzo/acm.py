@@ -5,8 +5,8 @@ stated once in :func:`is_acm_initialized`; such nonzero classes are
 rational normal curves of degree D.H.  Enumeration is served per degree
 (:func:`classes_of_degree`, cached): it scans the coefficient box that the
 Hodge index theorem proves to hold every solution, as a leading coefficient
-times a sorted tail, and expands each tail into all its distinct
-permutations; :func:`enumerate_acm` concatenates the degrees.  The
+times a sorted tail, and expands each hit, one S_r-orbit, into its distinct
+tail permutations in order; :func:`enumerate_acm` concatenates the degrees.  The
 closed-form catalog regenerates the same classes on every surface from the
 listed rows (five table rows on blow-ups), giving an independent oracle.
 ``geometry`` reads the (-1)-lines and its positivity tests off the classes
@@ -82,6 +82,23 @@ def _coefficient_range(surface: SurfaceModel, c: int, k: int) -> range:
     return range(-((s - c * h_k) // d), (c * h_k + s) // d + 1)
 
 
+def _distinct_permutations(t: tuple[int, ...]):
+    """The distinct permutations of the ascending tuple t in ascending order (next permutation)."""
+    p = list(t)
+    while True:
+        yield tuple(p)
+        i = len(p) - 2
+        while i >= 0 and p[i] >= p[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(p) - 1
+        while p[j] <= p[i]:
+            j -= 1
+        p[i], p[j] = p[j], p[i]
+        p[i + 1 :] = reversed(p[i + 1 :])
+
+
 @lru_cache(maxsize=None)
 def classes_of_degree(surface: SurfaceModel, c: int) -> tuple[DivisorClass, ...]:
     """Every initialized ACM class of degree c, in the canonical order.
@@ -90,19 +107,23 @@ def classes_of_degree(surface: SurfaceModel, c: int) -> tuple[DivisorClass, ...]
     coefficient's range, keeping the criterion hits of degree c.  Every
     tail coefficient has the same range (H_k = -1 and G_kk = -1 on
     blow-ups; the quadric's tail has one entry), and permuting the tail
-    preserves the criterion.  At c = 0 the criterion accepts only the zero
-    class; outside 0..H^2 there are no classes.
+    preserves the criterion.  The hits (a, t), t ascending, are sorted by
+    their canonical writing (a, -t_1, ..., -t_r), and each expands into its
+    S_r-orbit, the distinct tail permutations in ascending order: that is
+    ``sort_key`` order at degree c.  At c = 0 the criterion accepts only the
+    zero class; outside 0..H^2 there are no classes.
     """
     if not 0 <= c <= surface.degree:
         return ()
     n = surface.rank - 1
     tails = itertools.combinations_with_replacement(_coefficient_range(surface, c, n), n)
-    classes = []
+    hits = []
     for a, t in itertools.product(_coefficient_range(surface, c, 0), tails):
         coeffs = (a,) + t
         if sum(map(mul, coeffs, surface.degree_vector)) == c and _criterion(surface, coeffs):
-            classes.extend(DivisorClass(surface, (a,) + perm) for perm in set(itertools.permutations(t)))
-    classes.sort(key=sort_key)
+            hits.append(coeffs)
+    hits.sort(key=lambda coeffs: [coeffs[0]] + [-x for x in coeffs[1:]])
+    classes = [DivisorClass(surface, h[:1] + perm) for h in hits for perm in _distinct_permutations(h[1:])]
     if len(set(classes)) != len(classes):
         raise InternalError(f"duplicate classes of degree {c} enumerated on {surface}")
     return tuple(classes)

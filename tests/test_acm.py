@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from delpezzo import (
     DivisorClass,
@@ -107,6 +107,36 @@ def test_classes_of_degree_outside_the_range_are_not_scanned(monkeypatch):
     for surface in ALL_SURFACES:
         for c in (-1, -(10**6), surface.degree + 1, 10**6):
             assert acm.classes_of_degree(surface, c) == ()
+
+
+def former_classes_of_degree(surface, c):
+    """The former expansion, kept as the oracle: every distinct permutation of
+    each criterion hit's tail, then one sort of all the classes."""
+    if not 0 <= c <= surface.degree:
+        return ()
+    n = surface.rank - 1
+    classes = []
+    for a in acm._coefficient_range(surface, c, 0):
+        for t in itertools.combinations_with_replacement(acm._coefficient_range(surface, c, n), n):
+            D = DivisorClass(surface, (a,) + t)
+            if degree(D) == c and is_acm_initialized(D):
+                classes.extend(DivisorClass(surface, (a,) + perm) for perm in set(itertools.permutations(t)))
+    classes.sort(key=sort_key)
+    return tuple(classes)
+
+
+@pytest.mark.parametrize("surface", ALL_SURFACES, ids=str)
+def test_classes_of_degree_equal_the_former_expansion(surface):
+    for c in range(surface.degree + 1):
+        assert acm.classes_of_degree(surface, c) == former_classes_of_degree(surface, c), c
+
+
+@given(t=st.lists(st.integers(-2, 2), max_size=6))
+@example(t=[])  # the tail on X0
+@example(t=[1, 1, 1, 1, 1, 1])
+def test_distinct_permutations_are_sorted_and_complete(t):
+    t = tuple(sorted(t))
+    assert list(acm._distinct_permutations(t)) == sorted(set(itertools.permutations(t)))
 
 
 def test_enumeration_is_sorted_and_duplicate_free():

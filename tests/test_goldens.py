@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from delpezzo import SURFACE_NAMES, goldens, parse_divisor, surface_from_name
-from delpezzo.acm import degree_count_table, enumerate_acm
+from delpezzo.acm import closed_form_catalog, degree_count_table, enumerate_acm
+from delpezzo.geometry import is_effective
 from delpezzo.goldens import _check_invariants, golden_lines, run_verification, write_golden_dir
 
 GOLDEN_DIR = Path(__file__).parent.parent / "golden"
@@ -116,6 +117,27 @@ def test_invariant_failures_name_each_offending_line(monkeypatch):
         "X3 -e1: meets F12 in -1",
         "X3 -e1: meets F13 in -1",
     ]
+
+
+def test_a_bad_orbit_is_reported_once_on_its_first_member(monkeypatch):
+    bad = ("2e1+2e3", "2e1+2e2")  # one canonical writing, 2e1+2e3 enumerated first
+    failures = check_with(monkeypatch, "X3", lambda classes, parse: classes + [parse(t) for t in bad])
+    assert failures == [
+        "X3: closed-form catalog disagrees with enumeration",
+        "X3 2e1+2e3: genus is not 0",
+        "X3 2e1+2e3: meets E1 in -2",
+        "X3 2e1+2e3: meets E3 in -2",
+    ]
+
+
+@pytest.mark.parametrize("name, records", zip(SURFACE_NAMES, (3, 7, 10, 12, 12, 12, 12, 8)))
+def test_effectivity_is_checked_once_per_catalog_record(monkeypatch, name, records):
+    calls = []
+    monkeypatch.setattr(goldens, "is_effective", lambda D: calls.append(D) or is_effective(D))
+    surface = surface_from_name(name)
+    assert len(closed_form_catalog(surface)) == records
+    assert _check_invariants(surface) == []
+    assert len(calls) == records - 1  # the zero class is not tested
 
 
 def test_catalog_check_catches_a_missing_and_a_duplicated_class(monkeypatch):
