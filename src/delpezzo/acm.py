@@ -2,22 +2,21 @@
 
 The numerical criterion is D = 0 or (D^2 = D.H - 2 and 0 < D.H <= H^2),
 stated once in :func:`is_acm_initialized`; such nonzero classes are
-rational normal curves of degree D.H.  Enumeration is served per degree
-(:func:`classes_of_degree`, cached): it scans the coefficient box that the
-Hodge index theorem proves to hold every solution, as a leading coefficient
-times a sorted tail, and expands each hit, one S_r-orbit, into its distinct
-tail permutations in order; :func:`enumerate_acm` concatenates the degrees.  The
-closed-form catalog regenerates the same classes on every surface from the
-listed rows (five table rows on blow-ups), giving an independent oracle.
-``geometry`` reads the (-1)-lines and its positivity tests off the classes
-of degree 1, 2 and 3, and ``wild`` its pairs off those of degree H^2.
+rational normal curves of degree D.H.  Enumeration is served per degree and
+cached: :func:`orbits_of_degree` scans the coefficient box that the Hodge
+index theorem proves to hold every solution, as sorted tails, each with the
+lead that gives the degree, and keeps each hit as one S_r-orbit record for
+the degree table and ``geometry``'s positivity rows; :func:`classes_of_degree`
+expands the records into classes for the lines, ``wild`` and the goldens.
+The closed-form catalog regenerates the same orbits from the listed rows
+(five table rows on blow-ups), giving an independent oracle.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter, namedtuple
+from collections import namedtuple
 from functools import lru_cache
 from operator import mul
 
@@ -56,6 +55,22 @@ def sort_key(D: DivisorClass) -> tuple:
     """
     canonical = (D.coeffs[0],) + tuple(sorted((-c for c in D.coeffs[1:]), reverse=True))
     return (degree(D), canonical, D.coeffs)
+
+
+class AcmRecord(namedtuple("AcmRecord", "canonical degree orbit_count")):
+    """An S_r-orbit: its representative (in the scan, the first member's coefficients), degree and size."""
+
+    __slots__ = ()
+
+
+def orbit_size(r: int, b: tuple[int, ...]) -> int:
+    """Distinct vectors obtainable by permuting b: r! over a factorial per run of sorted b."""
+    if len(b) != r:
+        raise PreconditionViolated(f"b has length {len(b)}, not r = {r}")
+    count = math.factorial(r)
+    for _, run in itertools.groupby(sorted(b)):
+        count //= math.factorial(len(list(run)))
+    return count
 
 
 def _coefficient_range(surface: SurfaceModel, c: int, k: int) -> range:
@@ -100,30 +115,38 @@ def _distinct_permutations(t: tuple[int, ...]):
 
 
 @lru_cache(maxsize=None)
-def classes_of_degree(surface: SurfaceModel, c: int) -> tuple[DivisorClass, ...]:
-    """Every initialized ACM class of degree c, in the canonical order.
+def orbits_of_degree(surface: SurfaceModel, c: int) -> tuple[AcmRecord, ...]:
+    """One record per S_r-orbit of initialized ACM classes of degree c.
 
-    Scans the leading range times the sorted tails drawn from the last
-    coefficient's range, keeping the criterion hits of degree c.  Every
-    tail coefficient has the same range (H_k = -1 and G_kk = -1 on
-    blow-ups; the quadric's tail has one entry), and permuting the tail
-    preserves the criterion.  The hits (a, t), t ascending, are sorted by
-    their canonical writing (a, -t_1, ..., -t_r), and each expands into its
-    S_r-orbit, the distinct tail permutations in ascending order: that is
-    ``sort_key`` order at degree c.  At c = 0 the criterion accepts only the
-    zero class; outside 0..H^2 there are no classes.
+    Scans the sorted tails drawn from the last coefficient's range, each with
+    the lead in the leading range that gives degree c, if any, for criterion
+    hits.  Every tail coefficient has the same range and weight in D.H
+    (H_k = -1 and G_kk = -1 on blow-ups; the quadric's tail has one entry)
+    and permuting the tail preserves the criterion, so each hit (a, t), t
+    ascending, is one orbit and its first member.  Hits are sorted by
+    canonical writing (a, -t_1, ..., -t_r).  At c = 0 only the zero class
+    passes; outside 0..H^2 there are none.
     """
     if not 0 <= c <= surface.degree:
         return ()
     n = surface.rank - 1
-    tails = itertools.combinations_with_replacement(_coefficient_range(surface, c, n), n)
+    h_0, h_t = surface.degree_vector[0], surface.degree_vector[n]
+    leads = {c - h_0 * a: a for a in _coefficient_range(surface, c, 0)}  # keyed by the tail's share of D.H
     hits = []
-    for a, t in itertools.product(_coefficient_range(surface, c, 0), tails):
-        coeffs = (a,) + t
-        if sum(map(mul, coeffs, surface.degree_vector)) == c and _criterion(surface, coeffs):
-            hits.append(coeffs)
+    for t in itertools.combinations_with_replacement(_coefficient_range(surface, c, n), n):
+        a = leads.get(h_t * sum(t))
+        if a is not None and _criterion(surface, (a,) + t):
+            hits.append((a,) + t)
     hits.sort(key=lambda coeffs: [coeffs[0]] + [-x for x in coeffs[1:]])
-    classes = [DivisorClass(surface, h[:1] + perm) for h in hits for perm in _distinct_permutations(h[1:])]
+    return tuple(AcmRecord(h, c, orbit_size(n, h[1:])) for h in hits)
+
+
+@lru_cache(maxsize=None)
+def classes_of_degree(surface: SurfaceModel, c: int) -> tuple[DivisorClass, ...]:
+    """Every initialized ACM class of degree c in ``sort_key`` order: each orbit
+    record expanded into its distinct tail permutations, in ascending order."""
+    records = orbits_of_degree(surface, c)
+    classes = [DivisorClass(surface, h[:1] + perm) for h, _, _ in records for perm in _distinct_permutations(h[1:])]
     if len(set(classes)) != len(classes):
         raise InternalError(f"duplicate classes of degree {c} enumerated on {surface}")
     return tuple(classes)
@@ -138,22 +161,6 @@ def enumerate_acm(surface: SurfaceModel) -> list[DivisorClass]:
 
 # ---------------------------------------------------------------------------
 # closed-form catalog (independent of the box scan)
-
-
-class AcmRecord(namedtuple("AcmRecord", "canonical degree orbit_count")):
-    """One catalog row: a representative class, its degree and its orbit size."""
-
-    __slots__ = ()
-
-
-def orbit_size(r: int, b: tuple[int, ...]) -> int:
-    """Distinct vectors obtainable by permuting b: the multinomial r!/prod(mult!)."""
-    if len(b) != r:
-        raise PreconditionViolated(f"b has length {len(b)}, not r = {r}")
-    count = math.factorial(r)
-    for mult in Counter(b).values():
-        count //= math.factorial(mult)
-    return count
 
 
 def closed_form_catalog(surface: SurfaceModel) -> list[AcmRecord]:
@@ -195,8 +202,8 @@ def closed_form_catalog(surface: SurfaceModel) -> list[AcmRecord]:
 
 
 def degree_count_table(surface: SurfaceModel) -> dict[int, int]:
-    """Number of ACM classes per degree (orbit-expanded); absent degrees are 0."""
-    counts = ((c, len(classes_of_degree(surface, c))) for c in range(surface.degree + 1))
+    """Number of ACM classes per degree, summed over the orbit records (no class is built); absent degrees are 0."""
+    counts = ((c, sum(rec.orbit_count for rec in orbits_of_degree(surface, c))) for c in range(surface.degree + 1))
     return {c: n for c, n in counts if n}
 
 

@@ -106,6 +106,8 @@ def _classify_report(D: DivisorClass) -> dict:
 
 def cmd_classify(args: argparse.Namespace) -> dict:
     surface = surface_from_name(args.surface)
+    if not isinstance(args.divisor, str):  # argparse drops a second '--' and passes []
+        raise ValueError("expected one divisor text, got none after '--'")
     D = parse_divisor(surface, args.divisor)
     return {
         "command": "classify",

@@ -3,11 +3,11 @@
 Covers: the lines, labelled, which are the ACM classes of degree 1;
 effectivity, very-ampleness and smooth members without line components,
 each a sign test against the lines, conics and twisted cubics of the ACM
-catalog, one per orbit under permuting e_1..e_r; h^1 of the first negative
-twist; and the alternative basis D_0..D_r with its divisor decomposition.
-The decomposition's exceptional frame is read off a twisted cubic N, an ACM
-class of degree 3: the r lines orthogonal to N, which a blow-down to P2
-contracts, with l' = N.
+catalog, one row per orbit representative under permuting e_1..e_r; h^1
+of the first negative twist; and the alternative basis D_0..D_r with its
+divisor decomposition.  The decomposition's exceptional frame is read off a
+twisted cubic N, an ACM class of degree 3: the r lines orthogonal to N,
+which a blow-down to P2 contracts, with l' = N.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from collections import namedtuple
 from functools import lru_cache
 from operator import mul
 
-from .acm import classes_of_degree
+from .acm import classes_of_degree, orbits_of_degree
 from .errors import InternalError, PreconditionViolated, UnsupportedSurface
 from .picard import (
     BLOWUP,
@@ -60,10 +60,11 @@ def enumerate_lines(surface: SurfaceModel) -> tuple[LineClass, ...]:
 
 @lru_cache(maxsize=None)
 def _orbit_rows(surface: SurfaceModel, degrees: tuple[int, ...]) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """(N.u_0, the other N.u_i sorted descending) for the ACM classes N of the
-    given degrees, one row per orbit under permutations of u_1..u_r."""
-    rows = (tuple(intersect(N, u) for u in surface.units) for c in degrees for N in classes_of_degree(surface, c))
-    return tuple(dict.fromkeys((row[0], tuple(sorted(row[1:], reverse=True))) for row in rows))
+    """(N.u_0, the other N.u_i sorted descending) for the scan's representative N of
+    each S_r-orbit of ACM classes of these degrees: distinct rows, as G is invertible."""
+    units = [u.coeffs for u in surface.units]
+    rows = ([surface.pair(N, u) for u in units] for c in degrees for N, _, _ in orbits_of_degree(surface, c))
+    return tuple((row[0], tuple(sorted(row[1:], reverse=True))) for row in rows)
 
 
 def orbit_minima(D: DivisorClass, degrees: tuple[int, ...]):

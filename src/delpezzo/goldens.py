@@ -2,9 +2,10 @@
 
 One file per surface, named ``<surface>.tsv``, one line per enumerated class:
 ``degree<TAB>divisor-text<TAB>orbit-count`` in the canonical enumeration
-order.  Verification re-enumerates each surface, diffs against the golden
-file and, orbit by orbit, the closed-form catalog, and re-checks genus,
-degree, effectivity and the line products on one class per S_r-orbit.
+order, the count read off the scan's record of the class's S_r-orbit.
+Verification re-enumerates each surface, diffs against the golden file and,
+orbit by orbit, the closed-form catalog, and re-checks genus, degree,
+effectivity and the line products on one class per S_r-orbit.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .acm import (
     closed_form_catalog,
     degree_count_table,
     enumerate_acm,
-    orbit_size,
+    orbits_of_degree,
     sort_key,
 )
 from .geometry import enumerate_lines, is_effective, orbit_minima
@@ -34,16 +35,12 @@ from .picard import (
 
 
 def golden_lines(surface: SurfaceModel) -> list[str]:
-    """One line per class.  The orbit count is the number of distinct
-    permutations of the coefficients after the first: the classes obtained
-    by permuting the exceptional divisors (1 on the quadric)."""
-    lines, sizes = [], {}
-    for D in enumerate_acm(surface):
-        t = tuple(sorted(D.coeffs[1:]))
-        if t not in sizes:
-            sizes[t] = orbit_size(len(t), t)
-        lines.append(f"{degree(D)}\t{format_divisor(D)}\t{sizes[t]}")
-    return lines
+    """One line per class.  The orbit count, from the record the class was
+    expanded from, is the number of distinct permutations of the coefficients
+    after the first (1 on the quadric)."""
+    records = [record for c in range(surface.degree + 1) for record in orbits_of_degree(surface, c)]
+    classes = iter(enumerate_acm(surface))  # each record's orbit, in record order
+    return [f"{c}\t{format_divisor(D)}\t{n}" for _, c, n in records for D in itertools.islice(classes, n)]
 
 
 def write_golden_dir(directory: str | Path) -> None:

@@ -4,8 +4,11 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from delpezzo import (
+    BLOWUP,
+    QUADRIC,
     DivisorClass,
     PreconditionViolated,
+    SurfaceModel,
     arithmetic_genus,
     blow_up,
     degree,
@@ -106,7 +109,38 @@ def test_classes_of_degree_outside_the_range_are_not_scanned(monkeypatch):
     monkeypatch.setattr(acm, "_coefficient_range", no_scan)
     for surface in ALL_SURFACES:
         for c in (-1, -(10**6), surface.degree + 1, 10**6):
+            assert acm.orbits_of_degree(surface, c) == ()
             assert acm.classes_of_degree(surface, c) == ()
+
+
+@pytest.mark.parametrize("surface", ALL_SURFACES, ids=str)
+def test_orbit_records_are_the_expansion_of_the_scan(surface):
+    """Per degree 0..H^2: the records' sizes sum to the class count, each
+    representative is the first class its expansion emits, and each size is
+    the number of distinct permutations of the representative's tail."""
+    for c in range(surface.degree + 1):
+        records, classes = acm.orbits_of_degree(surface, c), acm.classes_of_degree(surface, c)
+        assert sum(rec.orbit_count for rec in records) == len(classes), c
+        start = 0
+        for rec in records:
+            assert rec.degree == c
+            assert rec.canonical == classes[start].coeffs
+            assert rec.orbit_count == len(set(itertools.permutations(rec.canonical[1:])))
+            start += rec.orbit_count
+
+
+def test_degree_count_table_builds_no_class(monkeypatch):
+    """Only the surface models build classes: their units, K and H."""
+    built = []
+    post_init = DivisorClass.__post_init__
+    monkeypatch.setattr(DivisorClass, "__post_init__", lambda D: built.append(D) or post_init(D))
+    surfaces = [SurfaceModel(BLOWUP, r) for r in range(7)] + [SurfaceModel(QUADRIC)]
+    assert len(built) == sum(s.rank + 2 for s in surfaces)
+    acm.orbits_of_degree.cache_clear()
+    acm.classes_of_degree.cache_clear()
+    tables = [degree_count_table(s) for s in surfaces]
+    assert len(built) == sum(s.rank + 2 for s in surfaces)
+    assert [sum(t.values()) for t in tables] == [TOTALS[s.name] for s in surfaces]
 
 
 def former_classes_of_degree(surface, c):

@@ -117,6 +117,15 @@ def test_classify_divisor_with_leading_minus(surface, text, capsys):
     assert payload["divisor"] == format_divisor(parse_divisor(surface_from_name(surface), text))
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv", [("X6", "--", "--"), ("--", "X6", "--")], ids=["X6_dd_dd", "dd_X6_dd"])
+def test_classify_with_nothing_after_a_second_double_dash_is_a_usage_error(argv, fmt, capsys):
+    # argparse drops the second '--' and hands classify an empty list for the divisor
+    code, out, err = run(capsys, "classify", "--format", fmt, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("acm: error: ") and err.count("\n") == 1
+
+
 def test_classify_help_still_prints(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["classify", "-h"])
@@ -524,7 +533,7 @@ def test_internal_error_exit_code(error, capsys, monkeypatch):
     def broken(surface, c):
         raise error
 
-    monkeypatch.setattr(acm, "classes_of_degree", broken)
+    monkeypatch.setattr(acm, "orbits_of_degree", broken)  # the scan behind the degree table
     code, out, err = run(capsys, "table", "X6")
     assert code == 4
     assert out == ""

@@ -24,6 +24,7 @@ from delpezzo import (
 )
 from delpezzo.acm import classes_of_degree, enumerate_acm
 from delpezzo.geometry import (
+    _orbit_rows,
     alternative_base,
     decompose,
     enumerate_lines,
@@ -309,6 +310,16 @@ def former_pairing_rows(surface, degrees):
     """(N.u for u in the basis) for every ACM class N of the given degrees:
     the rows the positivity tests read before they read one per orbit."""
     return [tuple(intersect(N, u) for u in surface.units) for c in degrees for N in classes_of_degree(surface, c)]
+
+
+@pytest.mark.parametrize("surface", ALL_SURFACES, ids=str)
+def test_orbit_rows_are_the_deduplicated_former_rows(surface):
+    """One row per orbit representative equals the former rows of every
+    class, each tail sorted descending, duplicates dropped in order: for
+    each degree 0..H^2 and the degree sets the positivity tests read."""
+    for degrees in [(c,) for c in range(surface.degree + 1)] + [(1, 2), (2, 3)]:
+        former = [(row[0], tuple(sorted(row[1:], reverse=True))) for row in former_pairing_rows(surface, degrees)]
+        assert _orbit_rows(surface, degrees) == tuple(dict.fromkeys(former)), degrees
 
 
 def former_products(D, degrees):
