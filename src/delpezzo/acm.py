@@ -6,10 +6,11 @@ rational normal curves of degree D.H.  Enumeration is served per degree and
 cached: :func:`orbits_of_degree` scans the coefficient box that the Hodge
 index theorem proves to hold every solution, as sorted tails, each with the
 lead that gives the degree, and keeps each hit as one S_r-orbit record for
-the degree table and ``geometry``'s positivity rows; :func:`classes_of_degree`
-expands the records into classes for the lines, ``wild`` and the goldens.
-The closed-form catalog regenerates the same orbits from the listed rows
-(five table rows on blow-ups), giving an independent oracle.
+the degree table, ``geometry``'s positivity rows and ``acm verify``;
+:func:`classes_of_degree` expands the records into classes for the lines,
+``wild`` and the golden text.  The closed-form catalog regenerates the same
+records from the listed rows (five table rows on blow-ups), giving an
+independent oracle.
 """
 
 from __future__ import annotations
@@ -21,14 +22,7 @@ from functools import lru_cache
 from operator import mul
 
 from .errors import InternalError, PreconditionViolated
-from .picard import (
-    QUADRIC,
-    DivisorClass,
-    SurfaceModel,
-    degree,
-    from_multiplicities,
-    zero_class,
-)
+from .picard import QUADRIC, DivisorClass, SurfaceModel, degree
 
 def _criterion(surface: SurfaceModel, coeffs: tuple[int, ...]) -> bool:
     d_h = sum(map(mul, coeffs, surface.degree_vector))
@@ -47,18 +41,16 @@ def is_acm_initialized(D: DivisorClass) -> bool:
 # enumeration
 
 
-def sort_key(D: DivisorClass) -> tuple:
-    """Stable output order: degree, canonical writing, then the full vector.
-
-    The canonical writing is the leading coefficient followed by the negated
-    tail sorted in non-increasing order (the multiplicities on blow-ups).
-    """
-    canonical = (D.coeffs[0],) + tuple(sorted((-c for c in D.coeffs[1:]), reverse=True))
-    return (degree(D), canonical, D.coeffs)
+def _writing(coeffs: tuple[int, ...]) -> tuple[int, ...]:
+    """Order key of an orbit's first member (lead, ascending tail t): its
+    canonical writing (a, -t_1, ..., -t_r), the lead then the multiplicities."""
+    return coeffs[:1] + tuple(-x for x in coeffs[1:])
 
 
 class AcmRecord(namedtuple("AcmRecord", "canonical degree orbit_count")):
-    """An S_r-orbit: its representative (in the scan, the first member's coefficients), degree and size."""
+    """An S_r-orbit: the coefficient tuple of its first member (the lead, then
+    the tail in ascending order), its degree and its size.  The scan and the
+    closed-form catalog both build records of this one shape."""
 
     __slots__ = ()
 
@@ -124,8 +116,8 @@ def orbits_of_degree(surface: SurfaceModel, c: int) -> tuple[AcmRecord, ...]:
     (H_k = -1 and G_kk = -1 on blow-ups; the quadric's tail has one entry)
     and permuting the tail preserves the criterion, so each hit (a, t), t
     ascending, is one orbit and its first member.  Hits are sorted by
-    canonical writing (a, -t_1, ..., -t_r).  At c = 0 only the zero class
-    passes; outside 0..H^2 there are none.
+    :func:`_writing`.  At c = 0 only the zero class passes; outside 0..H^2
+    there are none.
     """
     if not 0 <= c <= surface.degree:
         return ()
@@ -137,14 +129,15 @@ def orbits_of_degree(surface: SurfaceModel, c: int) -> tuple[AcmRecord, ...]:
         a = leads.get(h_t * sum(t))
         if a is not None and _criterion(surface, (a,) + t):
             hits.append((a,) + t)
-    hits.sort(key=lambda coeffs: [coeffs[0]] + [-x for x in coeffs[1:]])
+    hits.sort(key=_writing)
     return tuple(AcmRecord(h, c, orbit_size(n, h[1:])) for h in hits)
 
 
 @lru_cache(maxsize=None)
 def classes_of_degree(surface: SurfaceModel, c: int) -> tuple[DivisorClass, ...]:
-    """Every initialized ACM class of degree c in ``sort_key`` order: each orbit
-    record expanded into its distinct tail permutations, in ascending order."""
+    """Every initialized ACM class of degree c in the canonical order: each orbit
+    record, in :func:`_writing` order, expanded into its distinct tail
+    permutations, in ascending order."""
     records = orbits_of_degree(surface, c)
     classes = [DivisorClass(surface, h[:1] + perm) for h, _, _ in records for perm in _distinct_permutations(h[1:])]
     if len(set(classes)) != len(classes):
@@ -154,8 +147,7 @@ def classes_of_degree(surface: SurfaceModel, c: int) -> tuple[DivisorClass, ...]
 
 def enumerate_acm(surface: SurfaceModel) -> list[DivisorClass]:
     """Every initialized ACM class on the surface, in the canonical order:
-    the classes of degree 0, 1, ..., H^2 in turn (``sort_key`` leads with
-    the degree)."""
+    the classes of degree 0, 1, ..., H^2 in turn."""
     return [D for c in range(surface.degree + 1) for D in classes_of_degree(surface, c)]
 
 
@@ -165,25 +157,27 @@ def enumerate_acm(surface: SurfaceModel) -> list[DivisorClass]:
 
 def closed_form_catalog(surface: SurfaceModel) -> list[AcmRecord]:
     """Catalog generated directly from the explicit table rows, one record per
-    orbit under permuting the exceptional divisors, in ``sort_key`` order.
+    orbit under permuting the exceptional divisors, ordered by degree and then
+    :func:`_writing`, as the scan's records are.
 
     Blow-ups of r points: l - e1..em (m <= min(2,r)); 2l - e1..em
     (max(r-3,0) <= m <= min(5,r)); 3l - 2e1 - e2..em (max(1,r-1) <= m <= r);
     4l - 2e1 - 2e2 - 2e3 - e4..er (r >= 3); 5l - 2e1..2e6 (r = 6); plus the
-    zero class and the exceptional divisors.  The quadric: 0, h + bm and
-    bh + m for b = 0..3, eight classes, each its own orbit as the tail is the
-    single coefficient of m.
+    zero class and the exceptional divisors.  A row a*l - sum b_i e_i is
+    recorded as its orbit's first member, the negated multiplicities in
+    ascending order, so the exceptional divisors' row is e_r.  The quadric:
+    0, h + bm and bh + m for b = 0..3, eight classes, ah + bm of degree
+    2(a + b), each its own orbit as the tail is the single coefficient of m.
     """
-    records = [AcmRecord(zero_class(surface), 0, 1)]
+    records = [AcmRecord((0,) * surface.rank, 0, 1)]
     if surface.kind == QUADRIC:
-        classes = {DivisorClass(surface, v) for b in range(4) for v in ((1, b), (b, 1))}
-        records.extend(AcmRecord(D, degree(D), 1) for D in classes)
+        rows = {v for b in range(4) for v in ((1, b), (b, 1))}
+        records.extend(AcmRecord(v, 2 * sum(v), 1) for v in rows)
     else:
         r = surface.r
 
         def add(a: int, b: tuple[int, ...]) -> None:
-            D = from_multiplicities(surface, a, b)
-            records.append(AcmRecord(D, 3 * a - sum(b), orbit_size(r, b)))
+            records.append(AcmRecord((a,) + tuple(sorted(-x for x in b)), 3 * a - sum(b), orbit_size(r, b)))
 
         if r >= 1:
             add(0, (-1,) + (0,) * (r - 1))
@@ -197,7 +191,7 @@ def closed_form_catalog(surface: SurfaceModel) -> list[AcmRecord]:
             add(4, (2, 2, 2) + (1,) * (r - 3))
         if r == 6:
             add(5, (2,) * 6)
-    records.sort(key=lambda rec: sort_key(rec.canonical))
+    records.sort(key=lambda rec: (rec.degree, _writing(rec.canonical)))
     return records
 
 

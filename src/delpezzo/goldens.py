@@ -3,16 +3,16 @@
 One file per surface, named ``<surface>.tsv``, one line per enumerated class:
 ``degree<TAB>divisor-text<TAB>orbit-count`` in the canonical enumeration
 order, the count read off the scan's record of the class's S_r-orbit.
-Verification re-enumerates each surface, diffs against the golden file and,
-orbit by orbit, the closed-form catalog, and re-checks genus, degree,
-effectivity and the line products on one class per S_r-orbit.
+Verification re-enumerates each surface and diffs it against the golden file,
+compares the scan's S_r-orbit records with the closed-form catalog record for
+record, and re-checks genus, degree, effectivity and the line products on
+each record's representative.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-from collections import Counter
 from pathlib import Path
 
 from .acm import (
@@ -20,11 +20,11 @@ from .acm import (
     degree_count_table,
     enumerate_acm,
     orbits_of_degree,
-    sort_key,
 )
 from .geometry import enumerate_lines, is_effective, orbit_minima
 from .picard import (
     SURFACE_NAMES,
+    DivisorClass,
     SurfaceModel,
     arithmetic_genus,
     degree,
@@ -67,22 +67,17 @@ def _diff_golden(surface: SurfaceModel, recorded: list[str]) -> list[str]:
 
 def _check_invariants(surface: SurfaceModel) -> list[str]:
     failures = []
-    classes = enumerate_acm(surface)
+    records = [record for c in range(surface.degree + 1) for record in orbits_of_degree(surface, c)]
     catalog = closed_form_catalog(surface)
-    writings = [sort_key(D)[1] for D in classes]
-    # distinct classes, each canonical writing as often as its orbit count: the catalog's orbits
-    orbits = Counter({sort_key(record.canonical)[1]: record.orbit_count for record in catalog})
-    if Counter(writings) != orbits or len(set(classes)) != len(classes):
+    if records != catalog:
         failures.append(f"{surface.name}: closed-form catalog disagrees with enumeration")
 
     # genus, degree, effectivity and "meets a line L != D negatively" are constant on an S_r-orbit,
-    # as permuting e_1..e_r preserves the pairing, H and the set of lines: check the first
-    # enumerated member of each canonical writing, so a bad orbit is reported once
-    firsts = {}
-    for writing, D in zip(writings, classes):
-        firsts.setdefault(writing, D)
+    # as permuting e_1..e_r preserves the pairing, H and the set of lines: check each record's
+    # representative, so a bad orbit is reported once
     lines = enumerate_lines(surface)
-    for D in firsts.values():
+    for record in records:
+        D = DivisorClass(surface, record.canonical)
         if arithmetic_genus(D) != 0 and not D.is_zero:
             failures.append(f"{surface.name} {format_divisor(D)}: genus is not 0")
         if not 0 <= degree(D) <= surface.degree:

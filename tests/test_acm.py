@@ -7,6 +7,7 @@ from delpezzo import (
     BLOWUP,
     QUADRIC,
     DivisorClass,
+    InternalError,
     PreconditionViolated,
     SurfaceModel,
     arithmetic_genus,
@@ -28,7 +29,6 @@ from delpezzo.acm import (
     h0_hyperplane_residual,
     is_acm_initialized,
     orbit_size,
-    sort_key,
 )
 from delpezzo.geometry import enumerate_lines, h1_initialized_twist, is_effective
 
@@ -37,6 +37,13 @@ from paper_values import EXPECTED_COUNTS, TOTALS
 X0, X1, X2, X3, X6 = (blow_up(r) for r in (0, 1, 2, 3, 6))
 Q = quadric()
 ALL_SURFACES = [blow_up(r) for r in range(7)] + [Q]
+
+
+def sort_key(D):
+    """The canonical order as an oracle: degree, canonical writing (the leading
+    coefficient, then the negated tail sorted non-increasing), full vector."""
+    canonical = (D.coeffs[0],) + tuple(sorted((-c for c in D.coeffs[1:]), reverse=True))
+    return (degree(D), canonical, D.coeffs)
 
 
 # --- criterion -------------------------------------------------------------------
@@ -127,6 +134,29 @@ def test_orbit_records_are_the_expansion_of_the_scan(surface):
             assert rec.canonical == classes[start].coeffs
             assert rec.orbit_count == len(set(itertools.permutations(rec.canonical[1:])))
             start += rec.orbit_count
+
+
+def test_a_class_enumerated_twice_is_an_internal_error(monkeypatch):
+    """The expansion's duplicate guard: a record served twice repeats its orbit."""
+    records = acm.orbits_of_degree(X3, 1)
+    acm.orbits_of_degree.cache_clear()
+    acm.classes_of_degree.cache_clear()
+    monkeypatch.setattr(acm, "orbits_of_degree", lambda s, c: records + records[:1])
+    try:
+        with pytest.raises(InternalError) as info:
+            acm.classes_of_degree(X3, 1)
+        assert str(info.value) == "duplicate classes of degree 1 enumerated on X3"
+    finally:
+        monkeypatch.undo()
+        acm.orbits_of_degree.cache_clear()
+        acm.classes_of_degree.cache_clear()
+
+
+@pytest.mark.parametrize("surface", ALL_SURFACES, ids=str)
+def test_both_producers_write_representatives_as_coefficient_tuples(surface):
+    scanned = [rec for c in range(surface.degree + 1) for rec in acm.orbits_of_degree(surface, c)]
+    for rec in scanned + closed_form_catalog(surface):
+        assert type(rec.canonical) is tuple and len(rec.canonical) == surface.rank, rec
 
 
 def test_degree_count_table_builds_no_class(monkeypatch):
@@ -238,29 +268,30 @@ def test_orbit_size_counts_distinct_permutations(data):
 # --- closed-form catalog (the independent oracle) -------------------------------------
 
 
-def expand_orbit(record):
+def expand_orbit(surface, record):
     """The record's orbit written out: every distinct class obtained by
     permuting the exceptional divisors of its representative."""
-    a, *tail = record.canonical.coeffs
-    return [DivisorClass(record.canonical.surface, (a,) + perm) for perm in set(itertools.permutations(tail))]
+    a, *tail = record.canonical
+    return [DivisorClass(surface, (a,) + perm) for perm in set(itertools.permutations(tail))]
 
 
 @pytest.mark.parametrize("r", [*range(7), "Q"])
 def test_catalog_equals_enumeration(r):
     surface = Q if r == "Q" else blow_up(r)
     expanded = sorted(
-        (cls for record in closed_form_catalog(surface) for cls in expand_orbit(record)),
+        (cls for record in closed_form_catalog(surface) for cls in expand_orbit(surface, record)),
         key=sort_key,
     )
     assert expanded == enumerate_acm(surface)
 
 
 def test_catalog_rows_spot_checks():
-    x3_rows = {str(rec.canonical): rec for rec in closed_form_catalog(X3)}
+    x3_rows = {str(DivisorClass(X3, rec.canonical)): rec for rec in closed_form_catalog(X3)}
     assert x3_rows["4l-2e1-2e2-2e3"].degree == 6
-    x6_rows = {str(rec.canonical): rec for rec in closed_form_catalog(X6)}
+    x6_rows = {str(DivisorClass(X6, rec.canonical)): rec for rec in closed_form_catalog(X6)}
     assert x6_rows["5l-2e1-2e2-2e3-2e4-2e5-2e6"].degree == 3
-    x0 = [str(rec.canonical) for rec in closed_form_catalog(X0)]
+    assert x6_rows["e6"] == ((0, 0, 0, 0, 0, 0, 1), 1, 6)  # the exceptional row is its orbit's first member
+    x0 = [str(DivisorClass(X0, rec.canonical)) for rec in closed_form_catalog(X0)]
     assert x0 == ["0", "l", "2l"]
 
 
@@ -275,7 +306,7 @@ def test_orbit_counts_sum_to_degree_table(r):
 
 def test_expand_orbit_length_matches_count():
     for rec in closed_form_catalog(X6):
-        assert len(expand_orbit(rec)) == rec.orbit_count
+        assert len(expand_orbit(X6, rec)) == rec.orbit_count
 
 
 # --- cohomological bookkeeping ----------------------------------------------------------

@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from delpezzo import SURFACE_NAMES, goldens, parse_divisor, surface_from_name
-from delpezzo.acm import closed_form_catalog, degree_count_table, enumerate_acm
+from delpezzo import SURFACE_NAMES, degree, goldens, parse_divisor, surface_from_name
+from delpezzo.acm import AcmRecord, closed_form_catalog, degree_count_table, enumerate_acm, orbits_of_degree
 from delpezzo.geometry import is_effective
 from delpezzo.goldens import _check_invariants, golden_lines, run_verification, write_golden_dir
 
@@ -82,12 +82,19 @@ def test_run_verification_rejects_a_bad_golden_dir(tmp_path):
 
 
 def check_with(monkeypatch, name, edit):
-    """_check_invariants on surface ``name`` with its class list replaced by
-    ``edit(classes, parse)``, parse reading divisor text on that surface."""
+    """_check_invariants on surface ``name`` with its orbit records replaced by
+    ``edit(records, record)``, record(text) making the record of divisor text
+    on that surface.  The edited list is served as the records of degree 0 and
+    no others, so the check reads it whole, whatever the records' degrees."""
     surface = surface_from_name(name)
-    classes = enumerate_acm(surface)
-    parse = lambda text: parse_divisor(surface, text)  # noqa: E731
-    monkeypatch.setattr(goldens, "enumerate_acm", lambda s: edit(list(classes), parse))
+    records = [rec for c in range(surface.degree + 1) for rec in orbits_of_degree(surface, c)]
+
+    def record(text, orbit_count=1):
+        D = parse_divisor(surface, text)
+        return AcmRecord(D.coeffs, degree(D), orbit_count)
+
+    edited = tuple(edit(records, record))
+    monkeypatch.setattr(goldens, "orbits_of_degree", lambda s, c: edited if c == 0 else ())
     return _check_invariants(surface)
 
 
@@ -99,7 +106,7 @@ def test_invariants_hold_on_the_enumeration(name):
 
 def test_invariant_failures_name_each_offending_line(monkeypatch):
     bad = ("l-e1-e2-e3", "2e1+2e2", "3l", "-e1")
-    failures = check_with(monkeypatch, "X3", lambda classes, parse: classes + [parse(t) for t in bad])
+    failures = check_with(monkeypatch, "X3", lambda records, record: records + [record(t) for t in bad])
     assert failures == [
         "X3: closed-form catalog disagrees with enumeration",
         "X3 l-e1-e2-e3: not effective",
@@ -120,8 +127,8 @@ def test_invariant_failures_name_each_offending_line(monkeypatch):
 
 
 def test_a_bad_orbit_is_reported_once_on_its_first_member(monkeypatch):
-    bad = ("2e1+2e3", "2e1+2e2")  # one canonical writing, 2e1+2e3 enumerated first
-    failures = check_with(monkeypatch, "X3", lambda classes, parse: classes + [parse(t) for t in bad])
+    # one record stands for the orbit of 2e1+2e2, 2e1+2e3 and 2e2+2e3; only its representative is checked
+    failures = check_with(monkeypatch, "X3", lambda records, record: records + [record("2e1+2e3", 3)])
     assert failures == [
         "X3: closed-form catalog disagrees with enumeration",
         "X3 2e1+2e3: genus is not 0",
@@ -140,19 +147,31 @@ def test_effectivity_is_checked_once_per_catalog_record(monkeypatch, name, recor
     assert len(calls) == records - 1  # the zero class is not tested
 
 
-def test_catalog_check_catches_a_missing_and_a_duplicated_class(monkeypatch):
-    """e2 dropped, or replaced by its orbit-mate e1: the orbit counts differ
-    in the first case, only the distinctness of the classes in the second."""
-    missing = lambda classes, parse: [D for D in classes if D != parse("e2")]  # noqa: E731
-    duplicated = lambda classes, parse: [parse("e1") if D == parse("e2") else D for D in classes]  # noqa: E731
-    for edit in (missing, duplicated):
-        assert check_with(monkeypatch, "X6", edit) == ["X6: closed-form catalog disagrees with enumeration"]
+E6_EDITS = {  # what replaces the exceptional orbit's record (e6, degree 1, size 6)
+    "missing": lambda rec, record: [],
+    "orbit_count": lambda rec, record: [rec._replace(orbit_count=5)],
+    "degree": lambda rec, record: [rec._replace(degree=2)],
+    "representative": lambda rec, record: [record("e1", 6)],  # another member of the orbit
+}
+
+
+@pytest.mark.parametrize("edit", E6_EDITS.values(), ids=E6_EDITS)
+def test_catalog_check_catches_a_missing_and_a_duplicated_class(monkeypatch, edit):
+    """The record of e6 dropped, or with a wrong size, degree or representative:
+    each disagrees with the catalog record for record, and no class check fails."""
+
+    def edit_e6(records, record):
+        e6 = record("e6", 6)
+        assert e6 in records
+        return [new for rec in records for new in (edit(rec, record) if rec == e6 else [rec])]
+
+    assert check_with(monkeypatch, "X6", edit_e6) == ["X6: closed-form catalog disagrees with enumeration"]
 
 
 def test_orbit_count_sums_are_checked_against_the_degree_table(monkeypatch):
     table = degree_count_table(surface_from_name("X6"))
     monkeypatch.setattr(goldens, "degree_count_table", lambda surface: {**table, 1: table[1] + 1})
-    assert check_with(monkeypatch, "X6", lambda classes, parse: classes) == [
+    assert check_with(monkeypatch, "X6", lambda records, record: records) == [
         "X6: orbit-count sums disagree with the degree table"
     ]
 
