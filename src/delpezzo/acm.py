@@ -2,15 +2,17 @@
 
 The numerical criterion is D = 0 or (D^2 = D.H - 2 and 0 < D.H <= H^2),
 stated once in :func:`is_acm_initialized`; such nonzero classes are
-rational normal curves of degree D.H.  Enumeration is served per degree and
-cached: :func:`orbits_of_degree` scans the coefficient box that the Hodge
-index theorem proves to hold every solution, as sorted tails, each with the
-lead that gives the degree, and keeps each hit as one S_r-orbit record for
-the degree table, ``geometry``'s positivity rows and ``acm verify``;
-:func:`classes_of_degree` expands the records into classes for the lines,
-``wild`` and the golden text.  The closed-form catalog regenerates the same
-records from the listed rows (five table rows on blow-ups), giving an
-independent oracle.
+rational normal curves of degree D.H.  It is the numerical form of the
+cohomological definition, h^0(D) > 0 = h^0(D - H) and h^1(D + tH) = 0 for
+every t, which ``geometry.cohomology`` computes exactly.  Enumeration is
+served per degree and cached: :func:`orbits_of_degree` scans the
+coefficient box that the Hodge index theorem proves to hold every solution,
+as sorted tails, each with the lead that gives the degree, and keeps each
+hit as one S_r-orbit record for the degree table, ``geometry``'s positivity
+rows and ``acm verify``; :func:`classes_of_degree` expands the records into
+classes for the lines, ``wild`` and the golden text.  The closed-form
+catalog regenerates the same records from the listed rows (five table rows
+on blow-ups), giving an independent oracle.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from functools import lru_cache
 from operator import mul
 
 from .errors import InternalError, PreconditionViolated
-from .picard import QUADRIC, DivisorClass, SurfaceModel, degree
+from .picard import QUADRIC, DivisorClass, SurfaceModel
 
 def _criterion(surface: SurfaceModel, coeffs: tuple[int, ...]) -> bool:
     d_h = sum(map(mul, coeffs, surface.degree_vector))
@@ -199,19 +201,3 @@ def degree_count_table(surface: SurfaceModel) -> dict[int, int]:
     """Number of ACM classes per degree, summed over the orbit records (no class is built); absent degrees are 0."""
     counts = ((c, sum(rec.orbit_count for rec in orbits_of_degree(surface, c))) for c in range(surface.degree + 1))
     return {c: n for c, n in counts if n}
-
-
-# ---------------------------------------------------------------------------
-# cohomological bookkeeping with closed forms
-
-
-def ambient_dimension(D: DivisorClass) -> int:
-    """Dimension of the projective span of the rational normal curve: deg D."""
-    if D.is_zero or not is_acm_initialized(D):
-        raise PreconditionViolated(f"{D} is not a nonzero initialized ACM class")
-    return degree(D)
-
-
-def h0_hyperplane_residual(D: DivisorClass) -> int:
-    """Independent hyperplanes through the curve: h^0(H - D) = H^2 - deg D."""
-    return D.surface.degree - ambient_dimension(D)

@@ -3,8 +3,9 @@
 Covers: the lines, labelled, which are the ACM classes of degree 1;
 effectivity, very-ampleness and smooth members without line components,
 each a sign test against the lines, conics and twisted cubics of the ACM
-catalog, one row per orbit representative under permuting e_1..e_r; h^1
-of the first negative twist; and the alternative basis D_0..D_r with its
+catalog, one row per orbit representative under permuting e_1..e_r; the
+exact cohomology h^0, h^1, h^2 of any class, from the Zariski decomposition
+on the lines and Serre duality; and the alternative basis D_0..D_r with its
 divisor decomposition.  The decomposition's exceptional frame is read off a
 twisted cubic N, an ACM class of degree 3: the r lines orthogonal to N,
 which a blow-down to P2 contracts, with l' = N.
@@ -22,8 +23,9 @@ from .picard import (
     BLOWUP,
     DivisorClass,
     SurfaceModel,
-    arithmetic_genus,
-    hyperplane,
+    canonical_class,
+    degree,
+    euler_characteristic,
     intersect,
 )
 
@@ -126,19 +128,41 @@ def has_smooth_nonline_member(D: DivisorClass) -> bool:
     return all(m >= 0 for m in orbit_minima(D, (1,)))
 
 
-def h1_initialized_twist(D: DivisorClass) -> int:
-    """h^1 of the first negative twist of an initialized effective class.
+def _h0(D: DivisorClass) -> int:
+    d_h = degree(D)
+    if d_h < 0 or (d_h == 0 and not D.is_zero) or not is_effective(D):
+        return 0
+    surface, p = D.surface, D.coeffs
+    for L in enumerate_lines(surface):
+        k = surface.pair(D.coeffs, L.divisor.coeffs)
+        if k < 0:
+            p = tuple(x + k * y for x, y in zip(p, L.divisor.coeffs))
+    P = DivisorClass(surface, p)
+    if any(m < 0 for m in orbit_minima(P, (1,))):
+        raise InternalError(f"the moving part {P} of {D} meets a line negatively")
+    return euler_characteristic(P)
 
-    Equals (D.H - D^2)/2 - 1 = -p_a(D), hence 0 exactly on classes with
-    D^2 = D.H - 2.
+
+def cohomology(D: DivisorClass) -> tuple[int, int, int]:
+    """(h^0, h^1, h^2) of the line bundle O(D), exactly.
+
+    h^0 = 0 when D.H < 0, when D.H = 0 and D != 0 (H is ample), or when D is
+    not effective; the degree tests only spare the effectivity test.
+    Otherwise let D = P + N be the Zariski decomposition: P nef, N effective
+    with negative definite support orthogonal to P, and h^0(D) = h^0(P).
+    The (-1)-lines are the only curves of negative square, and two meeting
+    lines have the matrix [[-1, 1], [1, -1]], so N is supported on disjoint
+    lines L_j, and P.L_j = 0 fixes their coefficients at -D.L_j > 0.  As
+    P.L >= 0, a line with D.L < 0 has N.L < 0 and so lies in N.  Hence one
+    round finds N = sum over D.L < 0 of (-D.L) L, and P = D - N.  P - K =
+    P + H is ample, so Kawamata-Viehweg gives h^0(D) = chi(P).  Serre
+    duality gives h^2 = h^0(K - D), and Riemann-Roch h^1 = h^0 + h^2 - chi(D).
     """
-    if D.is_zero:
-        raise PreconditionViolated("needs a nonzero class")
-    if not is_effective(D):
-        raise PreconditionViolated(f"{D} is not effective")
-    if is_effective(D - hyperplane(D.surface)):
-        raise PreconditionViolated(f"{D} is not initialized: {D - hyperplane(D.surface)} is effective")
-    return -arithmetic_genus(D)
+    h0, h2 = _h0(D), _h0(canonical_class(D.surface) - D)
+    h1 = h0 + h2 - euler_characteristic(D)
+    if h1 < 0:
+        raise InternalError(f"negative h^1 for {D}")
+    return h0, h1, h2
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ On a surface of degree d <= 6 a pair of distinct maximal-degree ACM classes
 C, D with C.D = 1 + d seeds iterated extensions whose parameter spaces grow
 linearly in the rank, which is the numeric content of wild representation
 type.  Everything here is integer bookkeeping on divisor classes: the
-sheaves themselves are never constructed.
+sheaves themselves are never constructed.  The Ext groups between line
+bundles are the cohomology of a difference, Ext^i(O(C), O(D)) =
+H^i(O(D - C)), read off ``geometry.cohomology``.
 """
 
 from __future__ import annotations
@@ -21,14 +23,8 @@ from .errors import (
     UnsupportedSurface,
 )
 from .acm import classes_of_degree, is_acm_initialized
-from .picard import (
-    DivisorClass,
-    SurfaceModel,
-    degree,
-    euler_characteristic,
-    hyperplane,
-    intersect,
-)
+from .geometry import cohomology
+from .picard import DivisorClass, SurfaceModel, degree, hyperplane, intersect
 
 
 # ---------------------------------------------------------------------------
@@ -68,25 +64,21 @@ def _require_maximal_acm(D: DivisorClass) -> None:
 
 def ext1_dimension(C: DivisorClass, D: DivisorClass) -> int:
     """dim Ext^1 between the line bundles of two distinct maximal classes:
-    1 + C.D - d, checked against Riemann-Roch as -chi(D - C)."""
+    1 + C.D - d, checked against the cohomology of D - C, which also proves
+    Hom = Ext^2 = 0 (D - C has degree 0 and K - D + C degree -d)."""
     if C == D:
         raise NotApplicable("Ext dimensions are stated for distinct classes")
     _require_maximal_acm(C)
     _require_maximal_acm(D)
     ext1 = 1 + intersect(C, D) - C.surface.degree
-    if ext1 != -euler_characteristic(D - C):
-        raise InternalError("Ext^1 dimension disagrees with Riemann-Roch")
-    if ext1 < 0:
-        raise InternalError(f"negative Ext^1 dimension for {C}, {D}")
+    if cohomology(D - C) != (0, ext1, 0):
+        raise InternalError(f"Ext groups of {C}, {D} disagree with 1 + C.D - d")
     return ext1
 
 
 def ext_dimensions(C: DivisorClass, D: DivisorClass) -> ExtDimensions:
-    """(hom, ext1, ext2) between the line bundles of two distinct maximal classes.
-
-    Hom and Ext^2 vanish; Ext^1 is :func:`ext1_dimension`.
-    """
-    return ExtDimensions(0, ext1_dimension(C, D), 0)
+    """(hom, ext1, ext2) from O(C) to O(D): Ext^i(O(C), O(D)) = H^i(O(D - C))."""
+    return ExtDimensions(*cohomology(D - C))
 
 
 def ext1_dimension_vs_rank2(R: DivisorClass, C: DivisorClass, D: DivisorClass) -> int:
@@ -224,21 +216,14 @@ def family_slope(surface: SurfaceModel, plan: FamilyPlan) -> int:
 
 
 def is_zero_regular_acm(D: DivisorClass) -> bool:
-    """An initialized ACM class is 0-regular exactly when its degree is H^2."""
+    """An initialized ACM class is 0-regular exactly when its degree is H^2.
+
+    Equivalently O(D) is Ulrich: every h^i(D - H) and h^i(D - 2H) vanishes.
+    Riemann-Roch with D^2 = D.H - 2 gives chi(D - H) = 0 and chi(D - 2H) =
+    H^2 - D.H for D != 0; h^0 of both twists vanishes (D is initialized) and
+    h^1 too (D is ACM), so h^2 = chi, zero on both exactly when D.H = H^2.
+    At D = 0, h^2(-H) = h^0(0) = 1.
+    """
     if not is_acm_initialized(D):
         raise PreconditionViolated(f"{D} is not an initialized ACM class")
     return not D.is_zero and degree(D) == D.surface.degree
-
-
-def h2_twist_minus_2(D: DivisorClass) -> int:
-    """h^2 of the second negative twist: chi(D - 2H) = H^2 - D.H (H^2 + 1 at D = 0)."""
-    if not is_acm_initialized(D):
-        raise PreconditionViolated(f"{D} is not an initialized ACM class")
-    n = D.surface.degree
-    if D.is_zero:
-        value = n + 1
-    else:
-        value = n - degree(D)
-    if value != euler_characteristic(D - 2 * hyperplane(D.surface)):
-        raise InternalError("h^2 closed form disagrees with Riemann-Roch")
-    return value

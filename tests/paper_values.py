@@ -1,9 +1,11 @@
-"""Frozen expected values for the classification tables.
+"""Frozen expected values for the classification tables, and the paper's closed forms.
 
 Cells are verified counts per degree for each surface; a degree is listed
 exactly when it does not exceed the surface degree (the blank cells of the
 printed table).  TOTALS is the bottom row.
 """
+
+from delpezzo import arithmetic_genus, degree, intersect
 
 EXPECTED_COUNTS = {
     "X0": {0: 1, 1: 0, 2: 0, 3: 1, 4: 0, 5: 0, 6: 1, 7: 0, 8: 0, 9: 0},
@@ -27,3 +29,32 @@ WILD_TABLE = {
     "X5": ("3l-2e1-e2-e3-e4", "3l-2e2-e3-e4-e5", 5),
     "X6": ("3l-2e1-e2-e3-e4-e5", "3l-2e2-e3-e4-e5-e6", 4),
 }
+
+# Closed forms of the paper for the cohomology of an initialized ACM class D,
+# the oracles of geometry.cohomology.  For D != 0, D^2 = D.H - 2 gives
+# chi(D) = D.H, chi(D - H) = 0 and chi(D - 2H) = H^2 - D.H.
+
+
+def ambient_dimension(D):
+    """h^0(D) = D.H: the rational normal curve of degree D.H."""
+    return degree(D)
+
+
+def h0_hyperplane_residual(D):
+    """Independent hyperplanes through the curve: h^0(H - D) = H^2 - D.H."""
+    return D.surface.degree - degree(D)
+
+
+def h1_initialized_twist(D):
+    """h^1(D - H) = -chi(D - H) = -p_a(D) for a nonzero initialized effective class."""
+    return -arithmetic_genus(D)
+
+
+def h2_twist_minus_2(D):
+    """h^2(D - 2H) = chi(D - 2H) = H^2 - D.H, and H^2 + 1 at D = 0."""
+    return D.surface.degree + 1 if D.is_zero else D.surface.degree - degree(D)
+
+
+def ext1_closed_form(X, Y):
+    """dim Ext^1(O(X), O(Y)) = 1 + X.Y - d for distinct maximal-degree classes."""
+    return 1 + intersect(X, Y) - X.surface.degree

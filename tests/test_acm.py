@@ -8,7 +8,6 @@ from delpezzo import (
     QUADRIC,
     DivisorClass,
     InternalError,
-    PreconditionViolated,
     SurfaceModel,
     arithmetic_genus,
     blow_up,
@@ -22,17 +21,22 @@ from delpezzo import (
 )
 from delpezzo import acm
 from delpezzo.acm import (
-    ambient_dimension,
     closed_form_catalog,
     degree_count_table,
     enumerate_acm,
-    h0_hyperplane_residual,
     is_acm_initialized,
     orbit_size,
 )
-from delpezzo.geometry import enumerate_lines, h1_initialized_twist, is_effective
+from delpezzo.geometry import cohomology, enumerate_lines, is_effective
 
-from paper_values import EXPECTED_COUNTS, TOTALS
+from paper_values import (
+    EXPECTED_COUNTS,
+    TOTALS,
+    ambient_dimension,
+    h0_hyperplane_residual,
+    h1_initialized_twist,
+    h2_twist_minus_2,
+)
 
 X0, X1, X2, X3, X6 = (blow_up(r) for r in (0, 1, 2, 3, 6))
 Q = quadric()
@@ -309,36 +313,44 @@ def test_expand_orbit_length_matches_count():
         assert len(expand_orbit(X6, rec)) == rec.orbit_count
 
 
-# --- cohomological bookkeeping ----------------------------------------------------------
+# --- cohomology against the paper's closed forms ---------------------------------------
+
+
+@pytest.mark.parametrize("surface", ALL_SURFACES, ids=str)
+def test_catalog_classes_are_initialized_acm_by_cohomology(surface):
+    """Every catalog class D has h^0(D - H) = 0 and h^1(D + tH) = 0; the
+    nonzero ones have h^0(D) = D.H and h^0(H - D) = H^2 - D.H; and
+    h^2(D - 2H) is the closed form."""
+    H = hyperplane(surface)
+    for D in enumerate_acm(surface):
+        assert cohomology(D - H)[0] == 0
+        assert all(cohomology(D + t * H)[1] == 0 for t in range(-6, 7))
+        assert cohomology(D - 2 * H)[2] == h2_twist_minus_2(D)
+        if not D.is_zero:
+            assert cohomology(D)[0] == ambient_dimension(D)
+            assert cohomology(H - D)[0] == h0_hyperplane_residual(D)
 
 
 def test_h1_twist_vanishes_on_acm_classes():
     for surface in (X2, X3, Q):
         for D in enumerate_acm(surface):
             if not D.is_zero:
-                assert h1_initialized_twist(D) == 0
+                assert cohomology(D - hyperplane(surface))[1] == h1_initialized_twist(D) == 0
 
 
 def test_h1_twist_examples():
-    assert h1_initialized_twist(parse_divisor(X1, "2l-e1")) == 0
-    assert h1_initialized_twist(parse_divisor(X2, "2l-2e1-2e2")) == 2
-    assert h1_initialized_twist(parse_divisor(X2, "2l-2e1")) == 1
-    with pytest.raises(PreconditionViolated):
-        h1_initialized_twist(parse_divisor(X0, "3l"))  # equals H, not initialized
-    with pytest.raises(PreconditionViolated, match="is not effective"):
-        h1_initialized_twist(parse_divisor(X2, "l-2e1"))
-    with pytest.raises(PreconditionViolated):
-        h1_initialized_twist(zero_class(X3))
+    """h^1(D - H) = -p_a(D) on initialized effective classes, ACM or not."""
+    for surface, text, h1 in ((X1, "2l-e1", 0), (X2, "2l-2e1-2e2", 2), (X2, "2l-2e1", 1)):
+        D = parse_divisor(surface, text)
+        assert cohomology(D)[0] > 0 == cohomology(D - hyperplane(surface))[0]
+        assert cohomology(D - hyperplane(surface))[1] == h1_initialized_twist(D) == h1
 
 
 def test_ambient_dimension_examples():
     D = parse_divisor(X2, "2l-e1-e2")
-    assert ambient_dimension(D) == 4
-    assert h0_hyperplane_residual(D) == 3
-    assert ambient_dimension(parse_divisor(X3, "e1")) == 1
+    assert cohomology(D) == (ambient_dimension(D), 0, 0) == (4, 0, 0)
+    assert cohomology(hyperplane(X2) - D)[0] == h0_hyperplane_residual(D) == 3
+    E = parse_divisor(X3, "e1")
+    assert cohomology(E) == (ambient_dimension(E), 0, 0) == (1, 0, 0)
     top = parse_divisor(X3, "3l-2e1-e2")  # degree 6 = H^2
-    assert h0_hyperplane_residual(top) == 0
-    with pytest.raises(PreconditionViolated):
-        ambient_dimension(hyperplane(X3))
-    with pytest.raises(PreconditionViolated):
-        ambient_dimension(zero_class(X3))
+    assert cohomology(hyperplane(X3) - top)[0] == h0_hyperplane_residual(top) == 0

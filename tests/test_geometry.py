@@ -5,15 +5,18 @@ from fractions import Fraction
 from operator import mul
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from delpezzo import (
+    InternalError,
     PreconditionViolated,
     UnsupportedSurface,
     arithmetic_genus,
     blow_up,
+    canonical_class,
     degree,
     divisor,
+    euler_characteristic,
     from_multiplicities,
     hyperplane,
     intersect,
@@ -22,10 +25,12 @@ from delpezzo import (
     self_intersection,
     zero_class,
 )
+from delpezzo import geometry
 from delpezzo.acm import classes_of_degree, enumerate_acm
 from delpezzo.geometry import (
     _orbit_rows,
     alternative_base,
+    cohomology,
     decompose,
     enumerate_lines,
     has_smooth_nonline_member,
@@ -441,6 +446,105 @@ def test_very_ample_implies_smooth_member_spot_checks():
     for D in (hyperplane(X3), 2 * hyperplane(X3), parse_divisor(X3, "3l-e1-e2-e3")):
         assert is_very_ample(D)
         assert has_smooth_nonline_member(D)
+
+
+# --- cohomology ---------------------------------------------------------------------
+
+PRIME = 2**31 - 1
+
+
+def rank_mod_p(rows, ncols):
+    """Rank of an integer matrix modulo PRIME, by Gaussian elimination."""
+    rows = [list(row) for row in rows]
+    rank = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inverse = pow(rows[rank][col], PRIME - 2, PRIME)
+        top = rows[rank] = [x * inverse % PRIME for x in rows[rank]]
+        for i in range(rank + 1, len(rows)):
+            if rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [(x - f * y) % PRIME for x, y in zip(rows[i], top)]
+        rank += 1
+    return rank
+
+
+def interpolation_h0(D, points):
+    """h^0 of a*l + sum c_i e_i on the blow-up of the plane at the points: the
+    plane curves of degree a, in the chart z = 1, that vanish to order
+    max(-c_i, 0) at point i, counted as monomials less the rank of the
+    vanishing conditions modulo PRIME.  Random points mod PRIME are general
+    with high probability."""
+    a, *tail = D.coeffs
+    if a < 0:
+        return 0
+    monomials = [(i, j) for i in range(a + 1) for j in range(a + 1 - i)]
+    rows = [
+        [comb(i, s) * comb(j, t) * pow(u, i - s, PRIME) * pow(v, j - t, PRIME) % PRIME if i >= s and j >= t else 0
+         for i, j in monomials]
+        for (u, v), c in zip(points, tail)
+        for s in range(-c)
+        for t in range(-c - s)
+    ]
+    return len(monomials) - rank_mod_p(rows, len(monomials))
+
+
+def test_h0_agrees_with_plane_interpolation():
+    """Classes of degree 0..8: sorted tails in [-3, 1] with l-coefficient in
+    [-1, 4] on X1..X6, against interpolation at seeded random points;
+    C(a+2, 2) on X0 and (a+1)(b+1) on Q."""
+    rng = random.Random(2010)
+    checked = 0
+    for r in range(1, 7):
+        surface = blow_up(r)
+        points = [(rng.randrange(PRIME), rng.randrange(PRIME)) for _ in range(r)]
+        for a in range(-1, 5):
+            for tail in itertools.combinations_with_replacement(range(-3, 2), r):
+                D = divisor(surface, a, *tail)
+                if 0 <= degree(D) <= 8:
+                    assert cohomology(D)[0] == interpolation_h0(D, points), D
+                    checked += 1
+    for a in range(-3, 3):
+        assert cohomology(divisor(X0, a))[0] == (comb(a + 2, 2) if a >= 0 else 0)
+        checked += 1
+    for a, b in itertools.product(range(-2, 5), repeat=2):
+        if a + b <= 4:
+            assert cohomology(divisor(Q, a, b))[0] == ((a + 1) * (b + 1) if min(a, b) >= 0 else 0)
+            checked += 1
+    assert checked >= 250
+
+
+@pytest.mark.parametrize("surface", ALL_SURFACES, ids=str)
+@settings(max_examples=200)
+@given(data=st.data())
+def test_cohomology_properties_on_the_box(surface, data):
+    """Serre symmetry, h^0 - h^1 + h^2 = chi, h^0 = 0 in negative degree,
+    and h^0 monotone under adding a line, for coefficients in [-6, 6]."""
+    D = divisor(surface, *data.draw(st.tuples(*[st.integers(-6, 6)] * surface.rank), label="coeffs"))
+    h0, h1, h2 = cohomology(D)
+    assert cohomology(canonical_class(surface) - D) == (h2, h1, h0)
+    assert h0 - h1 + h2 == euler_characteristic(D)
+    if degree(D) < 0:
+        assert h0 == 0
+    assert all(cohomology(D + L.divisor)[0] >= h0 for L in enumerate_lines(surface))
+
+
+def test_cohomology_examples():
+    assert cohomology(zero_class(X6)) == (1, 0, 0)
+    assert cohomology(canonical_class(X6)) == (0, 0, 1)
+    assert cohomology(parse_divisor(X2, "2l-2e1-2e2")) == (1, 1, 0)  # a double line: O_L(-2) has h^1 = 1
+    assert cohomology(parse_divisor(X2, "e1-e2")) == (0, 0, 0)  # degree 0, not effective
+    assert cohomology(parse_divisor(Q, "2h-2m")) == (0, 3, 0)  # Kunneth: h^0(O(2)) h^1(O(-2)) on P1 x P1
+
+
+def test_a_moving_part_that_meets_a_line_is_an_internal_error(monkeypatch):
+    """Were 2l-3e1 taken for effective, removing F12 would leave l-2e1+e2, which meets e2 negatively."""
+    monkeypatch.setattr(geometry, "is_effective", lambda D: True)
+    with pytest.raises(InternalError, match="the moving part l-2e1\\+e2 of 2l-3e1 meets a line negatively"):
+        cohomology(parse_divisor(X2, "2l-3e1"))
 
 
 # --- alternative base and decomposition ------------------------------------------

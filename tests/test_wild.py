@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from delpezzo import (
+    InternalError,
     NotApplicable,
     NotFound,
     PreconditionViolated,
@@ -17,7 +18,9 @@ from delpezzo import (
     quadric,
     zero_class,
 )
+from delpezzo import wild
 from delpezzo.acm import enumerate_acm, is_acm_initialized
+from delpezzo.geometry import cohomology
 from delpezzo.wild import (
     ExtDimensions,
     ext1_dimension,
@@ -27,13 +30,12 @@ from delpezzo.wild import (
     family_slope,
     find_wild_pair,
     find_wild_pairs,
-    h2_twist_minus_2,
     intersection_lower_bound,
     intersection_upper_bound,
     is_zero_regular_acm,
 )
 
-from paper_values import WILD_TABLE
+from paper_values import WILD_TABLE, ext1_closed_form, h2_twist_minus_2
 
 X0, X1, X2, X3, X4, X5, X6 = (blow_up(r) for r in range(7))
 Q = quadric()
@@ -113,6 +115,13 @@ def test_ext_values_on_the_cubic_pair():
     assert ext1_dimension(C, F) == 0
 
 
+def test_ext1_rejects_a_disagreeing_cohomology(monkeypatch):
+    C, D = (parse_divisor(X3, text) for text in WILD_TABLE["X3"][:2])
+    monkeypatch.setattr(wild, "cohomology", lambda E: (1, 2, 0))  # Ext^1 right, Hom not 0
+    with pytest.raises(InternalError, match="disagree with 1 \\+ C.D - d"):
+        ext1_dimension(C, D)
+
+
 def test_ext_rejects_bad_input():
     C = parse_divisor(X3, "3l-2e1-e2")
     with pytest.raises(NotApplicable):
@@ -146,11 +155,17 @@ def test_ext_vs_rank2_additivity(surface):
 
 @pytest.mark.parametrize("surface", WILD_SURFACES, ids=str)
 def test_ext_closed_forms_on_every_wild_pair(surface):
+    """Over every ordered pair of members, the six relation pairs among them:
+    Ext^1 is 1 + X.Y - d, and the cohomology of Y - X proves Hom = Ext^2 = 0."""
     d = surface.degree
-    for pair in find_wild_pairs(surface):
+    pairs = find_wild_pairs(surface)
+    assert len(pairs) == {"X3": 12, "X4": 120, "X5": 480, "X6": 1440}[surface.name]
+    for pair in pairs:
         C, D, E, F = pair
         for X, Y in itertools.permutations(pair, 2):
-            assert ext1_dimension(X, Y) == 1 + intersect(X, Y) - d == -euler_characteristic(Y - X)
+            ext1 = ext1_closed_form(X, Y)
+            assert ext1_dimension(X, Y) == ext1 == -euler_characteristic(Y - X)
+            assert ext_dimensions(X, Y) == (0, ext1, 0)
         for R in (E, F):
             assert ext1_dimension_vs_rank2(R, C, D) == 2 - 2 * d + intersect(C, R) + intersect(D, R)
 
@@ -278,17 +293,18 @@ def test_family_slope_rejects_another_surface():
 def test_zero_regularity():
     assert is_zero_regular_acm(parse_divisor(X3, "3l-2e1-e2"))
     assert not is_zero_regular_acm(zero_class(X3))
-    assert h2_twist_minus_2(zero_class(X3)) == 7
+    assert cohomology(-2 * hyperplane(X3)) == (0, 0, h2_twist_minus_2(zero_class(X3))) == (0, 0, 7)
     e1 = parse_divisor(X1, "e1")
     assert not is_zero_regular_acm(e1)
-    assert h2_twist_minus_2(e1) == 7
+    assert cohomology(e1 - 2 * hyperplane(X1)) == (0, 0, h2_twist_minus_2(e1)) == (0, 0, 7)
     with pytest.raises(PreconditionViolated):
         is_zero_regular_acm(hyperplane(X3))
-    with pytest.raises(PreconditionViolated):
-        h2_twist_minus_2(hyperplane(X3))
 
 
 @pytest.mark.parametrize("surface", ALL_SURFACES, ids=str)
 def test_zero_regular_iff_maximal_degree(surface):
+    """On every catalog class, and exactly when O(D) is Ulrich: every h^i(D - H) and h^i(D - 2H) vanishes."""
+    H = hyperplane(surface)
     for D in enumerate_acm(surface):
-        assert is_zero_regular_acm(D) == (degree(D) == surface.degree and not D.is_zero)
+        ulrich = cohomology(D - H) == cohomology(D - 2 * H) == (0, 0, 0)
+        assert is_zero_regular_acm(D) == (degree(D) == surface.degree and not D.is_zero) == ulrich
