@@ -5,14 +5,14 @@ stated once in :func:`is_acm_initialized`; such nonzero classes are
 rational normal curves of degree D.H.  It is the numerical form of the
 cohomological definition, h^0(D) > 0 = h^0(D - H) and h^1(D + tH) = 0 for
 every t, which ``geometry.cohomology`` computes exactly.  Enumeration is
-served per degree and cached: :func:`orbits_of_degree` scans the
-coefficient box that the Hodge index theorem proves to hold every solution,
-as sorted tails, each with the lead that gives the degree, and keeps each
-hit as one S_r-orbit record for the degree table, ``geometry``'s positivity
-rows and ``acm verify``; :func:`classes_of_degree` expands the records into
-classes for the lines, ``wild`` and the golden text.  The closed-form
-catalog regenerates the same records from the listed rows (five table rows
-on blow-ups), giving an independent oracle.
+served per degree: :func:`orbits_of_degree` scans the coefficient box that
+the Hodge index theorem proves to hold every solution, as sorted tails with
+the lead that gives the degree, and caches each hit as one S_r-orbit record
+for the degree table, the positivity rows and ``acm verify``;
+:func:`coefficients_of_degree` expands them into coefficient tuples for the
+golden text and the wild pairs, and :func:`classes_of_degree` caches classes
+for the lines and ``decompose``.  The closed-form catalog regenerates the
+records from the listed rows, an independent oracle.
 """
 
 from __future__ import annotations
@@ -135,16 +135,20 @@ def orbits_of_degree(surface: SurfaceModel, c: int) -> tuple[AcmRecord, ...]:
     return tuple(AcmRecord(h, c, orbit_size(n, h[1:])) for h in hits)
 
 
+def coefficients_of_degree(surface: SurfaceModel, c: int) -> list[tuple[int, ...]]:
+    """The coefficient tuple of every initialized ACM class of degree c, in the
+    canonical order: each orbit record, in :func:`_writing` order, expanded
+    into its distinct tail permutations, in ascending order."""
+    coeffs = [h[:1] + perm for h, _, _ in orbits_of_degree(surface, c) for perm in _distinct_permutations(h[1:])]
+    if len(set(coeffs)) != len(coeffs):
+        raise InternalError(f"duplicate classes of degree {c} enumerated on {surface}")
+    return coeffs
+
+
 @lru_cache(maxsize=None)
 def classes_of_degree(surface: SurfaceModel, c: int) -> tuple[DivisorClass, ...]:
-    """Every initialized ACM class of degree c in the canonical order: each orbit
-    record, in :func:`_writing` order, expanded into its distinct tail
-    permutations, in ascending order."""
-    records = orbits_of_degree(surface, c)
-    classes = [DivisorClass(surface, h[:1] + perm) for h, _, _ in records for perm in _distinct_permutations(h[1:])]
-    if len(set(classes)) != len(classes):
-        raise InternalError(f"duplicate classes of degree {c} enumerated on {surface}")
-    return tuple(classes)
+    """Every initialized ACM class of degree c, as :func:`coefficients_of_degree` orders them."""
+    return tuple(DivisorClass(surface, v) for v in coefficients_of_degree(surface, c))
 
 
 def enumerate_acm(surface: SurfaceModel) -> list[DivisorClass]:

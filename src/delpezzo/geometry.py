@@ -62,11 +62,16 @@ def enumerate_lines(surface: SurfaceModel) -> tuple[LineClass, ...]:
 
 @lru_cache(maxsize=None)
 def _orbit_rows(surface: SurfaceModel, degrees: tuple[int, ...]) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """(N.u_0, the other N.u_i sorted descending) for the scan's representative N of
-    each S_r-orbit of ACM classes of these degrees: distinct rows, as G is invertible."""
-    units = [u.coeffs for u in surface.units]
-    rows = ([surface.pair(N, u) for u in units] for c in degrees for N, _, _ in orbits_of_degree(surface, c))
-    return tuple((row[0], tuple(sorted(row[1:], reverse=True))) for row in rows)
+    """(N.u_0, the other N.u_i sorted descending), N.u_j = sum of G_ij N_i in one pass over the Gram entries, for
+    the scan's representative N of each S_r-orbit of ACM classes of these degrees: distinct, as G is invertible."""
+    rows = []
+    for c in degrees:
+        for N, _, _ in orbits_of_degree(surface, c):
+            row = [0] * surface.rank
+            for i, j, value in surface.gram:
+                row[j] += value * N[i]
+            rows.append((row[0], tuple(sorted(row[1:], reverse=True))))
+    return tuple(rows)
 
 
 def orbit_minima(D: DivisorClass, degrees: tuple[int, ...]):

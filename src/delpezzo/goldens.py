@@ -17,8 +17,8 @@ from pathlib import Path
 
 from .acm import (
     closed_form_catalog,
+    coefficients_of_degree,
     degree_count_table,
-    enumerate_acm,
     orbits_of_degree,
 )
 from .geometry import enumerate_lines, is_effective, orbit_minima
@@ -28,6 +28,7 @@ from .picard import (
     SurfaceModel,
     arithmetic_genus,
     degree,
+    format_coefficients,
     format_divisor,
     intersect,
     surface_from_name,
@@ -37,10 +38,10 @@ from .picard import (
 def golden_lines(surface: SurfaceModel) -> list[str]:
     """One line per class.  The orbit count, from the record the class was
     expanded from, is the number of distinct permutations of the coefficients
-    after the first (1 on the quadric)."""
+    after the first (1 on the quadric).  Formats coefficient tuples; builds no class."""
     records = [record for c in range(surface.degree + 1) for record in orbits_of_degree(surface, c)]
-    classes = iter(enumerate_acm(surface))  # each record's orbit, in record order
-    return [f"{c}\t{format_divisor(D)}\t{n}" for _, c, n in records for D in itertools.islice(classes, n)]
+    coeffs = (v for c in range(surface.degree + 1) for v in coefficients_of_degree(surface, c))  # in record order
+    return [f"{c}\t{format_coefficients(surface, v)}\t{n}" for _, c, n in records for v in itertools.islice(coeffs, n)]
 
 
 def write_golden_dir(directory: str | Path) -> None:

@@ -143,7 +143,7 @@ class DivisorClass:
 
     def __init__(self, surface: SurfaceModel, coeffs: tuple[int, ...]):
         object.__setattr__(self, "surface", surface)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "coeffs", tuple(coeffs))  # a caller's list is copied, so it cannot alias
         self.__post_init__()  # the one hook every construction passes; tracers count it
 
     def __post_init__(self):
@@ -343,13 +343,13 @@ def parse_divisor(surface: SurfaceModel, text: str) -> DivisorClass:
             raise DivisorParseError(f"unexpected {text[pos]!r} after term", pos)
     if any(len(str(abs(c))) > max_digits for c in coeffs):
         raise DivisorParseError(f"a summed coefficient has more than {max_digits} digits", 0)
-    return DivisorClass(surface, tuple(coeffs))
+    return DivisorClass(surface, coeffs)
 
 
-def format_divisor(D: DivisorClass) -> str:
-    """Canonical text form, e.g. ``3l-2e1-e2``, ``h+3m`` or ``0``."""
+def format_coefficients(surface: SurfaceModel, coeffs: tuple[int, ...]) -> str:
+    """Canonical text form of a coefficient vector on ``surface``, e.g. ``3l-2e1-e2``, ``h+3m`` or ``0``."""
     parts: list[str] = []
-    for c, sym in zip(D.coeffs, D.surface.basis):
+    for c, sym in zip(coeffs, surface.basis):
         if c == 0:
             continue
         sign = "-" if c < 0 else "+"
@@ -359,3 +359,8 @@ def format_divisor(D: DivisorClass) -> str:
         return "0"
     out = "".join(parts)
     return out[1:] if out[0] == "+" else out
+
+
+def format_divisor(D: DivisorClass) -> str:
+    """Canonical text form of a class: :func:`format_coefficients` of its coefficients."""
+    return format_coefficients(D.surface, D.coeffs)

@@ -22,7 +22,7 @@ from .errors import (
     SurfaceMismatch,
     UnsupportedSurface,
 )
-from .acm import classes_of_degree, is_acm_initialized
+from .acm import coefficients_of_degree, is_acm_initialized
 from .geometry import cohomology
 from .picard import DivisorClass, SurfaceModel, degree, hyperplane, intersect
 
@@ -124,11 +124,11 @@ def _make_pair(C: DivisorClass, D: DivisorClass) -> WildPair:
 def _wild_pairs(surface: SurfaceModel) -> Iterator[WildPair]:
     """Ordered pairs of distinct maximal-degree classes with C.D = 1 + d, in canonical order."""
     n = surface.degree
-    maximal = classes_of_degree(surface, n)
-    for C in maximal:
-        for D in maximal:
-            if C != D and intersect(C, D) == 1 + n:
-                yield _make_pair(C, D)
+    maximal = coefficients_of_degree(surface, n)
+    for u in maximal:
+        for v in maximal:
+            if u != v and surface.pair(u, v) == 1 + n:
+                yield _make_pair(DivisorClass(surface, u), DivisorClass(surface, v))
 
 
 def find_wild_pairs(surface: SurfaceModel) -> list[WildPair]:

@@ -1,4 +1,5 @@
 import itertools
+from operator import mul
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -147,9 +148,10 @@ def test_a_class_enumerated_twice_is_an_internal_error(monkeypatch):
     acm.classes_of_degree.cache_clear()
     monkeypatch.setattr(acm, "orbits_of_degree", lambda s, c: records + records[:1])
     try:
-        with pytest.raises(InternalError) as info:
-            acm.classes_of_degree(X3, 1)
-        assert str(info.value) == "duplicate classes of degree 1 enumerated on X3"
+        for expand in (acm.coefficients_of_degree, acm.classes_of_degree):
+            with pytest.raises(InternalError) as info:
+                expand(X3, 1)
+            assert str(info.value) == "duplicate classes of degree 1 enumerated on X3"
     finally:
         monkeypatch.undo()
         acm.orbits_of_degree.cache_clear()
@@ -205,6 +207,67 @@ def test_classes_of_degree_equal_the_former_expansion(surface):
 def test_distinct_permutations_are_sorted_and_complete(t):
     t = tuple(sorted(t))
     assert list(acm._distinct_permutations(t)) == sorted(set(itertools.permutations(t)))
+
+
+@pytest.mark.parametrize("surface", ALL_SURFACES, ids=str)
+def test_coefficients_of_degree_are_the_classes_coefficients(surface):
+    for c in range(-1, surface.degree + 2):
+        coeffs = acm.coefficients_of_degree(surface, c)
+        assert coeffs == [D.coeffs for D in acm.classes_of_degree(surface, c)], c
+        assert all(type(v) is tuple for v in coeffs)
+
+
+# --- Weyl-group orbits: a third oracle for the catalog -----------------------------
+
+
+def simple_roots(surface):
+    """e_i - e_{i+1} for i < r, and l - e1 - e2 - e3 when r >= 3: each of square -2."""
+    r = surface.r
+    roots = [tuple(int(k == i) - int(k == i + 1) for k in range(r + 1)) for i in range(1, r)]
+    if r >= 3:
+        roots.append((1, -1, -1, -1) + (0,) * (r - 3))
+    return roots
+
+
+def reflect(surface, coeffs, alpha):
+    """s_alpha(D) = D + (D.alpha) alpha."""
+    k = surface.pair(coeffs, alpha)
+    return tuple(x + k * a for x, a in zip(coeffs, alpha))
+
+
+# (degree, size) of each W-orbit of the catalog, sorted
+WEYL_ORBITS = {
+    "X2": [(0, 1), (1, 1), (1, 2), (2, 2), (3, 1), (4, 1), (5, 2), (6, 1), (6, 2), (7, 2)],
+    "X3": [(0, 1), (1, 6), (2, 3), (3, 2), (4, 3), (5, 6), (6, 2), (6, 6)],
+    "X4": [(0, 1), (1, 10), (2, 5), (3, 5), (4, 10), (5, 20)],
+    "X5": [(0, 1), (1, 16), (2, 10), (3, 16), (4, 40)],
+    "X6": [(0, 1), (1, 27), (2, 27), (3, 72)],
+}
+
+
+@pytest.mark.parametrize("r", range(2, 7))
+def test_catalog_is_a_union_of_weyl_orbits(r):
+    """The criterion is invariant under the Weyl group W(E_r), generated by the
+    simple reflections, which fix K and hence H: the catalog is closed under
+    them and splits into 10, 8, 6, 5 and 4 W-orbits on X2..X6 (X6: the zero
+    class, the 27 lines, 27 conic classes and 72 twisted cubics)."""
+    surface = blow_up(r)
+    roots = simple_roots(surface)
+    assert all(surface.pair(alpha, alpha) == -2 for alpha in roots)
+    catalog = {D.coeffs for D in enumerate_acm(surface)}
+    left, orbits = set(catalog), []
+    while left:
+        orbit, todo = set(), [min(left)]
+        while todo:
+            D = todo.pop()
+            if D not in orbit:
+                orbit.add(D)
+                todo.extend(reflect(surface, D, alpha) for alpha in roots)
+        assert orbit <= catalog
+        assert len({sum(map(mul, D, surface.degree_vector)) for D in orbit}) == 1
+        orbits.append((sum(map(mul, min(orbit), surface.degree_vector)), len(orbit)))
+        left -= orbit
+    assert sorted(orbits) == WEYL_ORBITS[surface.name]
 
 
 def test_enumeration_is_sorted_and_duplicate_free():

@@ -26,7 +26,7 @@ from delpezzo import (
     zero_class,
 )
 from delpezzo import geometry
-from delpezzo.acm import classes_of_degree, enumerate_acm
+from delpezzo.acm import classes_of_degree, enumerate_acm, orbits_of_degree
 from delpezzo.geometry import (
     _orbit_rows,
     alternative_base,
@@ -325,6 +325,19 @@ def test_orbit_rows_are_the_deduplicated_former_rows(surface):
     for degrees in [(c,) for c in range(surface.degree + 1)] + [(1, 2), (2, 3)]:
         former = [(row[0], tuple(sorted(row[1:], reverse=True))) for row in former_pairing_rows(surface, degrees)]
         assert _orbit_rows(surface, degrees) == tuple(dict.fromkeys(former)), degrees
+
+
+def per_unit_orbit_rows(surface, degrees):
+    """The former orbit rows, kept as the oracle: one ``pair`` call per basis class."""
+    units = [u.coeffs for u in surface.units]
+    rows = ([surface.pair(N, u) for u in units] for c in degrees for N, _, _ in orbits_of_degree(surface, c))
+    return tuple((row[0], tuple(sorted(row[1:], reverse=True))) for row in rows)
+
+
+@pytest.mark.parametrize("surface", ALL_SURFACES, ids=str)
+@pytest.mark.parametrize("degrees", [(1,), (1, 2), (2, 3)], ids=str)
+def test_orbit_rows_equal_the_per_unit_pair_rows(surface, degrees):
+    assert _orbit_rows.__wrapped__(surface, degrees) == per_unit_orbit_rows(surface, degrees)
 
 
 def former_products(D, degrees):

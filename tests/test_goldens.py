@@ -7,7 +7,15 @@ from pathlib import Path
 
 import pytest
 
-from delpezzo import SURFACE_NAMES, degree, goldens, parse_divisor, surface_from_name
+from delpezzo import (
+    SURFACE_NAMES,
+    DivisorClass,
+    degree,
+    format_divisor,
+    goldens,
+    parse_divisor,
+    surface_from_name,
+)
 from delpezzo.acm import AcmRecord, closed_form_catalog, degree_count_table, enumerate_acm, orbits_of_degree
 from delpezzo.geometry import is_effective
 from delpezzo.goldens import _check_invariants, golden_lines, run_verification, write_golden_dir
@@ -40,6 +48,30 @@ def test_orbit_column_counts_distinct_tail_permutations(name):
     surface = surface_from_name(name)
     for D, line in zip(enumerate_acm(surface), golden_lines(surface), strict=True):
         assert int(line.split("\t")[2]) == len(set(itertools.permutations(D.coeffs[1:])))
+
+
+def former_golden_lines(surface):
+    """The former golden text, kept as the oracle: each class of the
+    enumeration formatted with ``format_divisor``, with its record's size."""
+    records = [record for c in range(surface.degree + 1) for record in orbits_of_degree(surface, c)]
+    classes = iter(enumerate_acm(surface))
+    return [f"{c}\t{format_divisor(D)}\t{n}" for _, c, n in records for D in itertools.islice(classes, n)]
+
+
+@pytest.mark.parametrize("name", SURFACE_NAMES)
+def test_golden_lines_equal_the_former_class_formatting(name):
+    surface = surface_from_name(name)
+    assert golden_lines(surface) == former_golden_lines(surface)
+
+
+def test_golden_lines_build_no_class(monkeypatch):
+    surfaces = [surface_from_name(name) for name in SURFACE_NAMES]  # a surface model builds its units, K and H
+    built = []
+    post_init = DivisorClass.__post_init__
+    monkeypatch.setattr(DivisorClass, "__post_init__", lambda D: built.append(D) or post_init(D))
+    lines = [golden_lines(surface) for surface in surfaces]
+    assert built == []
+    assert sum(map(len, lines)) == 323
 
 
 def test_orbit_column_examples():

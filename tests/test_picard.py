@@ -368,12 +368,25 @@ def test_value_types_are_immutable():
         ((1, 0, 0, 0, 0), "expected 4 coefficients on X3, got 5"),
         ((1, 0.0, 0, 0), "divisor coefficients must be integers"),
         ((1, "0", 0, 0), "divisor coefficients must be integers"),
+        ([1, 0], "expected 4 coefficients on X3, got 2"),
+        ([1, 0.0, 0, 0], "divisor coefficients must be integers"),
     ],
 )
 def test_divisor_class_validation_messages(coeffs, message):
     with pytest.raises(ValueError) as err:
         DivisorClass(X3, coeffs)
     assert str(err.value) == message
+
+
+def test_a_list_of_coefficients_is_stored_as_a_tuple():
+    """A caller's list is copied: the class equals and hashes as its tuple
+    form, and editing the list afterwards does not reach the class."""
+    coeffs = [1, 0]
+    D, E = DivisorClass(X1, coeffs), DivisorClass(X1, (1, 0))
+    assert type(D.coeffs) is tuple
+    assert D == E and hash(D) == hash(E) and len({D, E}) == 1
+    coeffs[0] = 5
+    assert D.coeffs == (1, 0) and str(D) == "l" and D == E
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,7 @@ from delpezzo import (
     zero_class,
 )
 from delpezzo import wild
-from delpezzo.acm import enumerate_acm, is_acm_initialized
+from delpezzo.acm import classes_of_degree, enumerate_acm, is_acm_initialized
 from delpezzo.geometry import cohomology
 from delpezzo.wild import (
     ExtDimensions,
@@ -182,6 +182,24 @@ def test_paper_pairs_are_found(surface):
     hits = find_wild_pairs(surface)
     assert any(p.C == C and p.D == D for p in hits)
     assert find_wild_pair(surface) == hits[0]
+
+
+def former_wild_pairs(surface):
+    """The former search, kept as the oracle: every ordered pair of distinct
+    classes of ``classes_of_degree`` at the maximal degree with C.D = 1 + d."""
+    n, two_h = surface.degree, 2 * hyperplane(surface)
+    maximal = classes_of_degree(surface, n)
+    return [
+        wild.WildPair(C, D, two_h - C, two_h - D)
+        for C in maximal
+        for D in maximal
+        if C != D and intersect(C, D) == 1 + n
+    ]
+
+
+@pytest.mark.parametrize("surface", WILD_SURFACES, ids=str)
+def test_wild_pairs_equal_the_former_class_search(surface):
+    assert find_wild_pairs(surface) == former_wild_pairs(surface)
 
 
 @pytest.mark.parametrize("surface", WILD_SURFACES, ids=str)
