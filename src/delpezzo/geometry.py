@@ -1,14 +1,15 @@
 """(-1)-lines of a strong del Pezzo surface and the positivity tests built on them.
 
 Covers: the lines, labelled, which are the ACM classes of degree 1;
-effectivity, very-ampleness and smooth members without line components,
-each a sign test against the lines, conics and twisted cubics of the ACM
-catalog, one row per orbit representative under permuting e_1..e_r; the
-exact cohomology h^0, h^1, h^2 of any class, from the Zariski decomposition
-on the lines and Serre duality; and the alternative basis D_0..D_r with its
-divisor decomposition.  The decomposition's exceptional frame is read off a
-twisted cubic N, an ACM class of degree 3: the r lines orthogonal to N,
-which a blow-down to P2 contracts, with l' = N.
+effectivity (one Zariski round on the lines, whose moving part must be
+nef), smooth members without line components (no fixed part) and
+very-ampleness, read off sign tests against the lines and conics, the ACM
+classes of degree 1 and 2, one row per orbit representative under permuting
+e_1..e_r; the exact cohomology h^0, h^1, h^2 of any class, from that round
+and Serre duality; and the alternative basis D_0..D_r with its divisor
+decomposition.  The decomposition's exceptional frame is read off a twisted
+cubic N, an ACM class of degree 3: the r lines orthogonal to N, which a
+blow-down to P2 contracts, with l' = N.
 """
 
 from __future__ import annotations
@@ -75,28 +76,7 @@ def _orbit_rows(surface: SurfaceModel, degrees: tuple[int, ...]) -> tuple[tuple[
 
 
 def orbit_minima(D: DivisorClass, degrees: tuple[int, ...]):
-    """The least D.N over each tail-permutation orbit of ACM classes N of these degrees (see is_effective)."""
-    head, *tail = D.coeffs
-    tail.sort()
-    return (head * n_0 + sum(map(mul, tail, n_tail)) for n_0, n_tail in _orbit_rows(D.surface, degrees))
-
-
-def is_effective(D: DivisorClass) -> bool:
-    """Whether D is effective: D.N >= 0 for the ACM classes N of degree 2 and 3.
-
-    These conics (N^2 = 0) and twisted cubics (N^2 = 1) span the nef cone,
-    dual to the effective cone; both are rational polyhedral.  On X0, X1, Q
-    they are l; l-e1, l; h, m.  For r >= 2 the lines span the effective cone,
-    so an extremal nef ray is orthogonal to r independent lines: a conic
-    bundle's fibre or a line pulled back under a blow-down to P2 (Manin,
-    Cubic Forms, par. 26; Dolgachev, Classical Algebraic Geometry, ch. 8:
-    27 + 72 rays on the cubic surface).
-
-    An integral class in the effective cone is effective.  If D.L = -k < 0
-    for a (-1)-line L, the other cone generators meet L nonnegatively, so L
-    has coefficient >= k in D and D - kL stays in the cone, with lower
-    degree.  This ends at a nef class N, effective as h^2(N) = h^0(K - N) = 0
-    ((K - N).H < 0) and chi(N) = N.(N - K)/2 + 1 >= 1.
+    """The least D.N over each tail-permutation orbit of ACM classes N of these degrees.
 
     One row per orbit suffices: permuting e_1..e_r preserves the pairing, H
     and the ACM criterion, so the rows (N.l, N.e_1, ..., N.e_r) are closed
@@ -104,7 +84,42 @@ def is_effective(D: DivisorClass) -> bool:
     D's ascending tail with the row's descending one (rearrangement inequality).
     On the quadric the tail is the single entry N.m, so each row is one class.
     """
-    return all(m >= 0 for m in orbit_minima(D, (2, 3)))
+    head, *tail = D.coeffs
+    tail.sort()
+    return (head * n_0 + sum(map(mul, tail, n_tail)) for n_0, n_tail in _orbit_rows(D.surface, degrees))
+
+
+def moving_part(D: DivisorClass) -> DivisorClass | None:
+    """The nef part P of D = P + N, N = sum (-D.L) L over the lines with D.L < 0; None if D is not effective.
+
+    If D is effective, this is its Zariski decomposition, so P is nef: N has
+    negative definite support orthogonal to P, so on disjoint lines L_j (the
+    (-1)-lines are the only negative curves, and two meeting lines have the
+    matrix [[-1, 1], [1, -1]]), with coefficients -D.L_j fixed by P.L_j = 0;
+    a line with D.L < 0 has N.L < 0, so lies in N.  If P is nef, h^2(P) = 0
+    ((K - P).H < 0) and chi(P) = (P^2 + P.H)/2 + 1 >= 1, so P and D are
+    effective.  Nef is D.N >= 0 on the ACM classes of degree 1 and 2: the
+    lines span the effective cone for r >= 2 (Manin, Cubic Forms, par. 26),
+    e1 and l-e1 on X1, h and m on Q; on X0 the degree test decides (D.H < 0,
+    or D.H = 0 with D != 0, is never effective as H is ample).
+    """
+    d_h = degree(D)
+    if d_h < 0 or (d_h == 0 and not D.is_zero):
+        return None
+    if all(m >= 0 for m in orbit_minima(D, (1, 2))):
+        return D
+    surface, p = D.surface, D.coeffs
+    for L in enumerate_lines(surface):
+        k = surface.pair(D.coeffs, L.divisor.coeffs)
+        if k < 0:
+            p = tuple(x + k * y for x, y in zip(p, L.divisor.coeffs))
+    P = DivisorClass(surface, p)
+    return P if all(m >= 0 for m in orbit_minima(P, (1, 2))) else None
+
+
+def is_effective(D: DivisorClass) -> bool:
+    """Whether D is effective: the Zariski round on the lines leaves a nef class (see moving_part)."""
+    return moving_part(D) is not None
 
 
 def is_very_ample(D: DivisorClass) -> bool:
@@ -121,47 +136,31 @@ def is_very_ample(D: DivisorClass) -> bool:
 def has_smooth_nonline_member(D: DivisorClass) -> bool:
     """Whether |D| contains smooth curves with no (-1)-line as a component.
 
-    True exactly when D meets every (-1)-line, the ACM classes of degree 1,
+    True exactly when D is its own moving part: it meets every (-1)-line
     nonnegatively; such a class is also generated by global sections.
     Requires a nonzero effective class.  On the plane and the quadric there
     are no lines to obstruct, so every nonzero effective class qualifies.
     """
     if D.is_zero:
         raise PreconditionViolated("the smooth-member criterion needs a nonzero class")
-    if not is_effective(D):
+    P = moving_part(D)
+    if P is None:
         raise PreconditionViolated(f"{D} is not effective")
-    return all(m >= 0 for m in orbit_minima(D, (1,)))
+    return P == D
 
 
 def _h0(D: DivisorClass) -> int:
-    d_h = degree(D)
-    if d_h < 0 or (d_h == 0 and not D.is_zero) or not is_effective(D):
-        return 0
-    surface, p = D.surface, D.coeffs
-    for L in enumerate_lines(surface):
-        k = surface.pair(D.coeffs, L.divisor.coeffs)
-        if k < 0:
-            p = tuple(x + k * y for x, y in zip(p, L.divisor.coeffs))
-    P = DivisorClass(surface, p)
-    if any(m < 0 for m in orbit_minima(P, (1,))):
-        raise InternalError(f"the moving part {P} of {D} meets a line negatively")
-    return euler_characteristic(P)
+    P = moving_part(D)
+    return 0 if P is None else euler_characteristic(P)
 
 
 def cohomology(D: DivisorClass) -> tuple[int, int, int]:
     """(h^0, h^1, h^2) of the line bundle O(D), exactly.
 
-    h^0 = 0 when D.H < 0, when D.H = 0 and D != 0 (H is ample), or when D is
-    not effective; the degree tests only spare the effectivity test.
-    Otherwise let D = P + N be the Zariski decomposition: P nef, N effective
-    with negative definite support orthogonal to P, and h^0(D) = h^0(P).
-    The (-1)-lines are the only curves of negative square, and two meeting
-    lines have the matrix [[-1, 1], [1, -1]], so N is supported on disjoint
-    lines L_j, and P.L_j = 0 fixes their coefficients at -D.L_j > 0.  As
-    P.L >= 0, a line with D.L < 0 has N.L < 0 and so lies in N.  Hence one
-    round finds N = sum over D.L < 0 of (-D.L) L, and P = D - N.  P - K =
-    P + H is ample, so Kawamata-Viehweg gives h^0(D) = chi(P).  Serre
-    duality gives h^2 = h^0(K - D), and Riemann-Roch h^1 = h^0 + h^2 - chi(D).
+    h^0(D) = h^0(P) for the moving part P (see moving_part), which is chi(P)
+    by Kawamata-Viehweg, as P - K = P + H is ample; h^0 = 0 when D is not
+    effective.  Serre duality gives h^2 = h^0(K - D), and Riemann-Roch
+    h^1 = h^0 + h^2 - chi(D).
     """
     h0, h2 = _h0(D), _h0(canonical_class(D.surface) - D)
     h1 = h0 + h2 - euler_characteristic(D)

@@ -166,7 +166,8 @@ def text_report(out):
 
 @pytest.mark.parametrize("surface", ["X2", "X3", "X6"])
 def test_classify_huge_non_effective_class(surface, capsys):
-    # a*l - (a+1)*e1 meets the conic l - e1 in -1; nef reduction took a steps
+    # a*l - (a+1)*e1 meets the conic l - e1 in -1; the Zariski round removes each F1j once and leaves
+    # a class that meets e2 negatively, a fixed number of dot products whatever a is
     a = 10**100
     text = f"{a}l-{a + 1}e1"
     code, out, err = run(capsys, "classify", surface, text)
@@ -181,6 +182,27 @@ def test_classify_huge_non_effective_class(surface, capsys):
         "effective": "false",
         "very_ample": "false",
         "smooth_member": "n/a",
+        "acm_initialized": "false",
+        "zero_regular": "n/a",
+    }
+
+
+def test_classify_huge_fixed_part(capsys):
+    # a*l + a*e1 meets e1 in -a: the round removes the fixed part a*e1 and leaves the nef class a*l
+    a = 10**100
+    text = f"{a}l+{a}e1"
+    code, out, err = run(capsys, "classify", "X2", text)
+    assert (code, err) == (0, "")
+    assert text_report(out) == {
+        "surface": "X2",
+        "divisor": text,
+        "degree": str(4 * a),
+        "self_intersection": "0",
+        "arithmetic_genus": str(1 - 2 * a),
+        "euler_characteristic": str(2 * a + 1),
+        "effective": "true",
+        "very_ample": "false",
+        "smooth_member": "false",
         "acm_initialized": "false",
         "zero_regular": "n/a",
     }

@@ -296,7 +296,7 @@ def test_effectivity_and_very_ampleness_agree_with_the_former_rules(r):
 
 def test_low_degree_acm_classes():
     """Lines are the ACM classes of degree 1; the conics and twisted cubics
-    (degrees 2 and 3), which decide effectivity, are nef."""
+    (degrees 2 and 3), the rows of the former dual-cone effectivity test, are nef."""
     counts = {"X0": 1, "X1": 2, "X2": 3, "X3": 5, "X4": 10, "X5": 26, "X6": 99, "Q": 2}
     for surface in ALL_SURFACES:
         catalog = enumerate_acm(surface)
@@ -378,8 +378,41 @@ def test_positivity_agrees_with_the_former_full_rows(surface):
                 has_smooth_nonline_member(D)
 
 
-# orbit rows read by (is_effective, is_very_ample, has_smooth_nonline_member):
-# ACM classes of degree 2 and 3, 1 and 2, and 1, up to permuting e_1..e_r
+def expected_fixed_part(D):
+    """sum (-D.L) L over the lines L with D.L < 0, and those lines."""
+    negative = [L.divisor for L in enumerate_lines(D.surface) if intersect(D, L.divisor) < 0]
+    return sum((-intersect(D, L) * L for L in negative), zero_class(D.surface)), negative
+
+
+@pytest.mark.parametrize("surface", ALL_SURFACES, ids=str)
+def test_moving_part_is_the_zariski_decomposition_on_the_box(surface):
+    """For every effective D: P is nef (it meets the former cone generators, every line among them,
+    nonnegatively), D - P is the round's fixed part, orthogonal to P, h^0(D) = chi(P), and D has a smooth
+    member without line components exactly when it has no fixed part.  Otherwise h^0(D) = 0."""
+    generators = former_cone_generators(surface)
+    effective = with_fixed_part = 0
+    for D in positivity_box(surface):
+        P = geometry.moving_part(D)
+        assert (P is not None) == is_effective(D)
+        if P is None:
+            assert cohomology(D)[0] == 0
+            continue
+        effective += 1
+        with_fixed_part += P != D
+        assert all(intersect(P, G) >= 0 for G in generators)
+        fixed, negative = expected_fixed_part(D)
+        assert D - P == fixed
+        assert all(intersect(P, L) == 0 for L in negative)
+        assert cohomology(D)[0] == euler_characteristic(P)
+        if not D.is_zero:
+            assert has_smooth_nonline_member(D) == (P == D)
+    assert effective > 0
+    assert (with_fixed_part > 0) == (surface.kind == "blowup" and surface.r >= 1)  # X0 and Q have no lines
+
+
+# orbit rows of the ACM classes of degree 2 and 3 (the former dual-cone effectivity test, kept as an
+# oracle), 1 and 2 (the nef test of moving_part, and is_very_ample) and 1 (the line check of verify),
+# up to permuting e_1..e_r
 ORBIT_ROWS = {
     "X0": (1, 0, 0),
     "X1": (2, 2, 1),
@@ -554,10 +587,11 @@ def test_cohomology_examples():
 
 
 def test_a_moving_part_that_meets_a_line_is_an_internal_error(monkeypatch):
-    """Were 2l-3e1 taken for effective, removing F12 would leave l-2e1+e2, which meets e2 negatively."""
-    monkeypatch.setattr(geometry, "is_effective", lambda D: True)
-    with pytest.raises(InternalError, match="the moving part l-2e1\\+e2 of 2l-3e1 meets a line negatively"):
-        cohomology(parse_divisor(X2, "2l-3e1"))
+    """Were every class its own moving part, l-3e1 (degree 0, not effective) would get h^0 = h^2 = chi = -3,
+    and Riemann-Roch h^1 = -3: the guard that remains is cohomology's negative h^1."""
+    monkeypatch.setattr(geometry, "moving_part", lambda D: D)
+    with pytest.raises(InternalError, match="negative h\\^1 for l-3e1"):
+        cohomology(parse_divisor(X2, "l-3e1"))
 
 
 # --- alternative base and decomposition ------------------------------------------
