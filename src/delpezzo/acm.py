@@ -11,8 +11,8 @@ the lead that gives the degree, and caches each hit as one S_r-orbit record
 for the degree table, the positivity rows and ``acm verify``;
 :func:`coefficients_of_degree` expands them into coefficient tuples for the
 golden text and the wild pairs, and :func:`classes_of_degree` caches classes
-for the lines and ``decompose``.  The closed-form catalog regenerates the
-records from the listed rows, an independent oracle.
+for the lines.  The closed-form catalog regenerates the records from the
+listed rows, an independent oracle.
 """
 
 from __future__ import annotations

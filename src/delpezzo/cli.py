@@ -80,22 +80,23 @@ def text_lines(p: dict) -> Iterator[str]:
 
 
 def _classify_report(D: DivisorClass) -> dict:
-    """The classify fields, in the order the text report prints them."""
+    """The classify fields, in the order the text report prints them.
+
+    One Zariski round gives ``effective`` and ``smooth_member`` (see ``geometry.moving_part``).
+    """
+    P = geometry.moving_part(D)
     report: dict[str, object] = {
         "degree": degree(D),
         "self_intersection": self_intersection(D),
         "arithmetic_genus": arithmetic_genus(D),
         "euler_characteristic": euler_characteristic(D),
-        "effective": geometry.is_effective(D),
+        "effective": P is not None,
     }
     try:
         report["very_ample"] = geometry.is_very_ample(D)
     except UnsupportedSurface:
         report["very_ample"] = None
-    try:
-        report["smooth_member"] = geometry.has_smooth_nonline_member(D)
-    except PreconditionViolated:
-        report["smooth_member"] = None
+    report["smooth_member"] = None if P is None or D.is_zero else P == D
     report["acm_initialized"] = acm.is_acm_initialized(D)
     try:
         report["zero_regular"] = wild.is_zero_regular_acm(D)

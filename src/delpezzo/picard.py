@@ -16,7 +16,6 @@ prints the coefficients as they are stored, e.g. ``3l-2e1-e2``.
 import functools
 import re
 import sys
-from collections import namedtuple
 from operator import mul
 
 from .errors import DivisorParseError, InternalError, SurfaceMismatch
@@ -71,7 +70,7 @@ class SurfaceModel:
             raise ValueError(f"unknown surface kind {kind!r}")
         vectors = [tuple(int(i == k) for i in range(rank)) for k in range(rank)]
         symbols = dict(zip(basis, vectors))
-        if r == 1:  # section/fibre basis of the one-point blow-up
+        if r == 1:  # section C0 = e1 and fibre f = l - e1 of the one-point blow-up
             symbols.update(C0=(0, 1), f=(1, -1))
         put = functools.partial(object.__setattr__, self)
         put("kind", kind)
@@ -267,31 +266,6 @@ def euler_characteristic(D: DivisorClass) -> int:
     if twice % 2 != 0:
         raise InternalError(f"odd Riemann-Roch numerator for {D}")
     return twice // 2 + 1
-
-
-# ---------------------------------------------------------------------------
-# ruled-surface coordinates on X1
-
-
-class RuledCoords(namedtuple("RuledCoords", "c0 f")):
-    """Coordinates of an X1 class in the section/fibre basis C0, f.
-
-    On the blow-up of one point, f = l - e1 and C0 = e1, so
-    a*C0 + b*f = b*l - (b - a)*e1.
-    """
-
-    __slots__ = ()
-
-
-def to_ruled(D: DivisorClass) -> RuledCoords:
-    if D.surface != blow_up(1):
-        raise SurfaceMismatch("the C0,f basis exists only on the one-point blow-up")
-    a, c1 = D.coeffs
-    return RuledCoords(c0=a + c1, f=a)
-
-
-def from_ruled(coords: RuledCoords) -> DivisorClass:
-    return DivisorClass(blow_up(1), (coords.f, coords.c0 - coords.f))
 
 
 # ---------------------------------------------------------------------------

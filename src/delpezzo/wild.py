@@ -1,4 +1,4 @@
-"""Intersection bounds, extension-space dimensions and rank-n family plans.
+"""Extension dimensions between maximal-degree classes, wild pairs and rank-n family plans.
 
 On a surface of degree d <= 6 a pair of distinct maximal-degree ACM classes
 C, D with C.D = 1 + d seeds iterated extensions whose parameter spaces grow
@@ -28,33 +28,7 @@ from .picard import DivisorClass, SurfaceModel, degree, hyperplane, intersect
 
 
 # ---------------------------------------------------------------------------
-# intersection bounds for ACM classes
-
-
-def intersection_upper_bound(c: int, d: int, m: int, n: int) -> int:
-    """Upper bound 2 + (m-1)(c+d) - m(m-1)n/2 for curves of degree c, d.
-
-    Valid in the window (m-1)n < c+d <= mn; equality forces C + D ~ mH.
-    """
-    if c < 1 or d < 1 or m < 1:
-        raise PreconditionViolated(f"need c, d, m >= 1, got c={c} d={d} m={m}")
-    if not (m - 1) * n < c + d <= m * n:
-        raise PreconditionViolated(f"c+d={c + d} outside the window ({(m - 1) * n}, {m * n}]")
-    return 2 + (m - 1) * (c + d) - m * (m - 1) * n // 2
-
-
-def intersection_lower_bound(c: int, d: int) -> int:
-    """Lower bound min(c, d) - 2; attained exactly by linearly equivalent pairs."""
-    if c < 1 or d < 1:
-        raise PreconditionViolated(f"need c, d >= 1, got c={c} d={d}")
-    return min(c, d) - 2
-
-
-# ---------------------------------------------------------------------------
 # Ext dimensions between maximal-degree classes
-
-
-ExtDimensions = namedtuple("ExtDimensions", "hom ext1 ext2")
 
 
 def _require_maximal_acm(D: DivisorClass) -> None:
@@ -74,22 +48,6 @@ def ext1_dimension(C: DivisorClass, D: DivisorClass) -> int:
     if cohomology(D - C) != (0, ext1, 0):
         raise InternalError(f"Ext groups of {C}, {D} disagree with 1 + C.D - d")
     return ext1
-
-
-def ext_dimensions(C: DivisorClass, D: DivisorClass) -> ExtDimensions:
-    """(hom, ext1, ext2) from O(C) to O(D): Ext^i(O(C), O(D)) = H^i(O(D - C))."""
-    return ExtDimensions(*cohomology(D - C))
-
-
-def ext1_dimension_vs_rank2(R: DivisorClass, C: DivisorClass, D: DivisorClass) -> int:
-    """dim Ext^1 from O(R) into a rank-2 extension of O(D) by O(C): 2 - 2d + C.R + D.R.
-
-    Ext^1 is additive over the extension, so this is the sum of the two
-    line-bundle dimensions 1 + C.R - d and 1 + D.R - d.
-    """
-    if R in (C, D) or C == D:
-        raise NotApplicable("R, C, D must be pairwise distinct classes")
-    return ext1_dimension(C, R) + ext1_dimension(D, R)
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,11 @@ from delpezzo import (
     blow_up,
     degree,
     divisor,
-    from_ruled,
     hyperplane,
     intersect,
     parse_divisor,
     quadric,
     self_intersection,
-    to_ruled,
 )
 from delpezzo.acm import (
     closed_form_catalog,
@@ -28,18 +26,26 @@ from delpezzo.acm import (
     enumerate_acm,
     orbit_size,
 )
-from delpezzo.geometry import decompose, enumerate_lines, is_effective
-from delpezzo.picard import RuledCoords
+from delpezzo.geometry import enumerate_lines, is_effective
 from delpezzo.wild import (
     ext1_dimension,
-    ext1_dimension_vs_rank2,
     family_plan,
     family_slope,
     find_wild_pair,
     find_wild_pairs,
 )
 
-from paper_values import EXPECTED_COUNTS, LINE_COUNTS, TOTALS, WILD_TABLE
+from paper_values import (
+    EXPECTED_COUNTS,
+    LINE_COUNTS,
+    TOTALS,
+    WILD_TABLE,
+    RuledCoords,
+    decompose,
+    ext1_dimension_vs_rank2,
+    from_ruled,
+    to_ruled,
+)
 from test_acm import expand_orbit
 
 BLOWUPS = [blow_up(r) for r in range(7)]

@@ -7,9 +7,22 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from delpezzo import InternalError, acm, format_divisor, parse_divisor, surface_from_name, wild
-from delpezzo.cli import main
+from delpezzo import (
+    SURFACE_NAMES,
+    InternalError,
+    PreconditionViolated,
+    acm,
+    format_divisor,
+    geometry,
+    parse_divisor,
+    surface_from_name,
+    wild,
+)
+from delpezzo.cli import _classify_report, main
 from delpezzo.goldens import write_golden_dir
+
+from paper_values import has_smooth_nonline_member
+from test_geometry import positivity_box
 
 SCHEMA = json.loads(
     (Path(__file__).parent.parent / "schemas" / "acm-output.schema.json").read_text(encoding="utf-8")
@@ -137,6 +150,38 @@ def test_classify_na_fields_in_text(capsys):
     code, out, err = run(capsys, "classify", "P2", "l")
     assert code == 0
     assert "very_ample: n/a" in out
+
+
+@pytest.mark.parametrize("text, effective, smooth", [("2l-3e1", False, None), ("l+2e1", True, False)])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_classify_runs_one_zariski_round(text, effective, smooth, fmt, capsys, monkeypatch):
+    """A class that is not effective, and one with a fixed part: one moving_part call gives both fields."""
+    calls = []
+    moving_part = geometry.moving_part
+    monkeypatch.setattr(geometry, "moving_part", lambda D: calls.append(D) or moving_part(D))
+    code, out, err = run(capsys, "classify", "X2", text, "--format", fmt)
+    assert (code, err) == (0, "")
+    assert calls == [parse_divisor(surface_from_name("X2"), text)]
+    report = json.loads(out)["report"] if fmt == "json" else text_report(out)
+    expected = (effective, smooth) if fmt == "json" else (str(effective).lower(), "n/a" if smooth is None else "false")
+    assert (report["effective"], report["smooth_member"]) == expected
+
+
+@pytest.mark.parametrize("name", SURFACE_NAMES)
+def test_classify_positivity_fields_agree_with_the_oracles(name):
+    """effective is is_effective; smooth_member is has_smooth_nonline_member, and n/a (None) exactly
+    where its precondition fails: the zero class and the classes that are not effective."""
+    seen = set()
+    for D in positivity_box(surface_from_name(name)):
+        report = _classify_report(D)
+        assert report["effective"] == geometry.is_effective(D)
+        try:
+            expected = has_smooth_nonline_member(D)
+        except PreconditionViolated:
+            expected = None
+        assert report["smooth_member"] == expected, D
+        seen.add(expected)
+    assert seen == ({None, True} if name in ("X0", "Q") else {None, True, False})  # no lines, no fixed part
 
 
 def test_classify_text_report_in_order(capsys):

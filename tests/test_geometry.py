@@ -29,17 +29,14 @@ from delpezzo import geometry
 from delpezzo.acm import classes_of_degree, enumerate_acm, orbits_of_degree
 from delpezzo.geometry import (
     _orbit_rows,
-    alternative_base,
     cohomology,
-    decompose,
     enumerate_lines,
-    has_smooth_nonline_member,
     is_effective,
     is_very_ample,
     orbit_minima,
 )
 
-from paper_values import LINE_COUNTS
+from paper_values import LINE_COUNTS, alternative_base, decompose, has_smooth_nonline_member
 
 X0, X1, X2, X3, X5, X6 = (blow_up(r) for r in (0, 1, 2, 3, 5, 6))
 Q = quadric()

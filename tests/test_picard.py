@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from delpezzo import (
     DivisorClass,
     DivisorParseError,
-    RuledCoords,
     SurfaceMismatch,
     SurfaceModel,
     arithmetic_genus,
@@ -17,7 +16,6 @@ from delpezzo import (
     euler_characteristic,
     format_divisor,
     from_multiplicities,
-    from_ruled,
     hyperplane,
     intersect,
     multiplicities,
@@ -25,9 +23,10 @@ from delpezzo import (
     quadric,
     self_intersection,
     surface_from_name,
-    to_ruled,
     zero_class,
 )
+
+from paper_values import RuledCoords, from_ruled, to_ruled
 
 ALL_SURFACES = [blow_up(r) for r in range(7)] + [quadric()]
 
@@ -167,12 +166,15 @@ def test_chi_closed_form(surface, data):
     assert 2 * euler_characteristic(D) - 2 == self_intersection(D) + degree(D)
 
 
-# --- ruled coordinates on X1 -------------------------------------------------
+# --- ruled coordinates on X1: the grammar's C0 and f against the closed form ----------
+# (from_ruled reads "aC0+bf" with parse_divisor, to_ruled is a*C0 + b*f = b*l - (b - a)*e1)
 
 
 def test_ruled_examples():
-    assert from_ruled(RuledCoords(c0=1, f=1)) == parse_divisor(X1, "l")
-    assert from_ruled(RuledCoords(c0=2, f=3)) == parse_divisor(X1, "3l-e1")
+    assert parse_divisor(X1, "C0") == parse_divisor(X1, "e1")
+    assert parse_divisor(X1, "f") == parse_divisor(X1, "l-e1")
+    assert from_ruled(RuledCoords(c0=1, f=1)) == parse_divisor(X1, "C0+f") == parse_divisor(X1, "l")
+    assert from_ruled(RuledCoords(c0=2, f=3)) == parse_divisor(X1, "2C0+3f") == parse_divisor(X1, "3l-e1")
     assert from_ruled(RuledCoords(c0=0, f=0)) == zero_class(X1)
     assert to_ruled(parse_divisor(X1, "3l-e1")) == RuledCoords(c0=2, f=3)
 
@@ -192,6 +194,10 @@ def test_ruled_round_trip_other_way(a, c1):
 def test_ruled_wrong_surface():
     with pytest.raises(SurfaceMismatch):
         to_ruled(divisor(X2, 1, 0, 0))
+    for surface in (X0, X2, Q):
+        for text in ("C0", "f"):
+            with pytest.raises(DivisorParseError, match="unknown basis symbol"):
+                parse_divisor(surface, f"2{text}")
 
 
 # --- multiplicity vectors a*l - sum(b_i e_i) ------------------------------------

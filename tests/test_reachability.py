@@ -1,0 +1,146 @@
+"""Every top-level definition in ``src/delpezzo`` is reached from what users run.
+
+The roots are ``cli.main`` and ``cli.run`` (the ``acm`` console script and
+``python -m delpezzo.cli``), the names of ``delpezzo.__all__``, the names
+that ``scripts/*.py`` import, and the functions the benchmark tracer wraps
+(``SPANS`` and ``COUNTS`` of ``bench/tracing.py``).  A definition reaches
+each package name its body mentions: a bare name bound in its module, by a
+definition or a relative import, or ``m.name`` for a package module ``m``
+imported with ``from . import m``.  Module-level statements that define
+nothing run at import, so the names they mention are roots as well.  The
+graph is read with ``ast``; nothing is imported.  Code that only the tests
+reach belongs in the tests (``tests/paper_values.py``), not in the package.
+"""
+
+import ast
+from pathlib import Path
+
+from test_tracer_contract import traced_names
+
+ROOT = Path(__file__).parent.parent
+PACKAGE = "delpezzo"
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Assign, ast.AnnAssign)
+
+
+def package_sources():
+    """{module: source} for each module of the package, ``__init__`` included."""
+    return {path.stem: path.read_text(encoding="utf-8") for path in sorted((ROOT / "src" / PACKAGE).glob("*.py"))}
+
+
+def defined_names(node):
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+class Graph:
+    def __init__(self, sources):
+        self.bindings = {}  # module -> {name: ("def",) | ("import", module, name) | ("module", module)}
+        self.bodies = {}  # (module, name) -> the statements that define it
+        self.import_time = {}  # module -> the statements that run at import and define nothing
+        self.all_names = []
+        for module, source in sources.items():
+            bound = self.bindings[module] = {}
+            self.import_time[module] = []
+            for node in ast.parse(source).body:
+                if isinstance(node, ast.ImportFrom) and node.level == 1:
+                    for alias in node.names:
+                        name = alias.asname or alias.name
+                        bound[name] = ("import", node.module, alias.name) if node.module else ("module", alias.name)
+                elif isinstance(node, DEFINITIONS):
+                    for name in defined_names(node):
+                        bound[name] = ("def",)
+                        self.bodies.setdefault((module, name), []).append(node)
+                        if (module, name) == ("__init__", "__all__"):
+                            self.all_names = ast.literal_eval(node.value)
+                elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                    self.import_time[module].append(node)
+
+    def resolve(self, module, name):
+        """The (module, name) of the definition that ``name`` denotes in ``module``, or None."""
+        binding = self.bindings.get(module, {}).get(name)
+        if binding is None or binding[0] == "module":
+            return None
+        if binding[0] == "import":
+            return self.resolve(binding[1], binding[2])
+        return module, name
+
+    def references(self, module, nodes):
+        for tree in nodes:
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    target = self.resolve(module, node.id)
+                elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                    binding = self.bindings[module].get(node.value.id, ("",))
+                    target = self.resolve(binding[1], node.attr) if binding[0] == "module" else None
+                else:
+                    continue
+                if target is not None:
+                    yield target
+
+    def roots(self, external):
+        """The definitions named by ``external`` ((module, name) pairs from outside the package), by
+        ``cli.main``, ``cli.run`` and ``__all__``, and by every module's import-time statements."""
+        pairs = [("cli", "main"), ("cli", "run"), ("__init__", "__all__")]
+        pairs += [("__init__", name) for name in self.all_names] + list(external)
+        found = [target for pair in pairs if (target := self.resolve(*pair))]
+        for module, nodes in self.import_time.items():
+            found.extend(self.references(module, nodes))
+        return found
+
+    def unreachable(self, external):
+        seen, stack = set(), self.roots(external)
+        while stack:
+            node = stack.pop()
+            if node not in seen:
+                seen.add(node)
+                stack.extend(self.references(node[0], self.bodies[node]))
+        return sorted(set(self.bodies) - seen)
+
+
+def script_imports():
+    """(module, name) for each ``from delpezzo[.module] import name`` in ``scripts/*.py``."""
+    for path in sorted((ROOT / "scripts").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == PACKAGE:
+                module = node.module.partition(".")[2] or "__init__"
+                yield from ((module, alias.name) for alias in node.names)
+
+
+def traced_imports():
+    """(module, name) for each function that ``bench/tracing.py`` wraps."""
+    for pairs in traced_names().values():
+        for module, name in pairs:
+            yield module.removeprefix(PACKAGE + "."), name
+
+
+def external_roots():
+    return list(script_imports()) + list(traced_imports())
+
+
+def test_the_roots_resolve_to_definitions():
+    graph = Graph(package_sources())
+    assert graph.resolve("cli", "main") == ("cli", "main")
+    assert graph.resolve("__init__", "parse_divisor") == ("picard", "parse_divisor")
+    assert "DivisorClass" in graph.all_names
+    for pair in external_roots():
+        assert graph.resolve(*pair) is not None, pair
+    assert ("goldens", "write_golden_dir") in external_roots()  # scripts/regen_goldens.py
+    assert ("acm", "enumerate_acm") in external_roots()  # the tracer's span
+
+
+def test_every_definition_is_reached_from_a_user_path():
+    assert Graph(package_sources()).unreachable(external_roots()) == []
+
+
+def test_a_planted_definition_is_reported():
+    sources = package_sources()
+    before = set(Graph(sources).unreachable(external_roots()))
+    sources["geometry"] += "\n\ndef planted(D):\n    return _helper(D)\n\n\ndef _helper(D):\n    return moving_part(D)\n"
+    sources["wild"] += "\n\nPLANTED = RELATIONS\n"
+    found = set(Graph(sources).unreachable(external_roots())) - before
+    assert found == {("geometry", "_helper"), ("geometry", "planted"), ("wild", "PLANTED")}
+    # a caller that a root reaches makes them reachable
+    sources["cli"] += "\n\ndef _uses(D):\n    return geometry.planted(D), wild.PLANTED\n"
+    assert set(Graph(sources).unreachable(external_roots() + [("cli", "_uses")])) == before

@@ -22,20 +22,22 @@ from delpezzo import wild
 from delpezzo.acm import classes_of_degree, enumerate_acm, is_acm_initialized
 from delpezzo.geometry import cohomology
 from delpezzo.wild import (
-    ExtDimensions,
     ext1_dimension,
-    ext1_dimension_vs_rank2,
-    ext_dimensions,
     family_plan,
     family_slope,
     find_wild_pair,
     find_wild_pairs,
-    intersection_lower_bound,
-    intersection_upper_bound,
     is_zero_regular_acm,
 )
 
-from paper_values import WILD_TABLE, ext1_closed_form, h2_twist_minus_2
+from paper_values import (
+    WILD_TABLE,
+    ext1_closed_form,
+    ext1_dimension_vs_rank2,
+    h2_twist_minus_2,
+    intersection_lower_bound,
+    intersection_upper_bound,
+)
 
 X0, X1, X2, X3, X4, X5, X6 = (blow_up(r) for r in range(7))
 Q = quadric()
@@ -107,7 +109,7 @@ def test_ext_values_on_the_cubic_pair():
     D = parse_divisor(X3, "3l-2e2-e3")
     E = 2 * hyperplane(X3) - C
     F = 2 * hyperplane(X3) - D
-    assert ext_dimensions(C, D) == ExtDimensions(0, 2, 0)
+    assert cohomology(D - C) == (0, 2, 0)  # (Hom, Ext^1, Ext^2) from O(C) to O(D)
     assert ext1_dimension(E, F) == 2
     assert ext1_dimension(C, E) == 3
     assert ext1_dimension(D, F) == 3
@@ -132,25 +134,29 @@ def test_ext_rejects_bad_input():
         ext1_dimension(C, hyperplane(X3))  # not ACM at all
 
 
+def ext1_into_rank2(R, C, D):
+    """dim Ext^1 from O(R) into a rank-2 extension of O(D) by O(C): additive over the extension."""
+    return ext1_dimension(C, R) + ext1_dimension(D, R)
+
+
 def test_ext_vs_rank2_values():
     pair = find_wild_pair(X3)
-    assert ext1_dimension_vs_rank2(pair.E, pair.C, pair.D) == 3
-    assert ext1_dimension_vs_rank2(pair.F, pair.C, pair.D) == 3
+    assert ext1_into_rank2(pair.E, pair.C, pair.D) == ext1_dimension_vs_rank2(pair.E, pair.C, pair.D) == 3
+    assert ext1_into_rank2(pair.F, pair.C, pair.D) == ext1_dimension_vs_rank2(pair.F, pair.C, pair.D) == 3
     with pytest.raises(NotApplicable):
-        ext1_dimension_vs_rank2(pair.C, pair.C, pair.D)
+        ext1_into_rank2(pair.C, pair.C, pair.D)
     with pytest.raises(PreconditionViolated):
-        ext1_dimension_vs_rank2(hyperplane(X3), pair.C, pair.D)  # not ACM
+        ext1_into_rank2(hyperplane(X3), pair.C, pair.D)  # not ACM
     with pytest.raises(PreconditionViolated):
-        ext1_dimension_vs_rank2(pair.E, parse_divisor(X3, "l"), pair.D)  # degree 3 < 6
+        ext1_into_rank2(pair.E, parse_divisor(X3, "l"), pair.D)  # degree 3 < 6
 
 
 @pytest.mark.parametrize("surface", WILD_SURFACES, ids=str)
 def test_ext_vs_rank2_additivity(surface):
     pair = find_wild_pair(surface)
     for R in (pair.E, pair.F):
-        assert ext1_dimension_vs_rank2(R, pair.C, pair.D) == ext1_dimension(
-            R, pair.C
-        ) + ext1_dimension(R, pair.D)
+        assert ext1_dimension_vs_rank2(R, pair.C, pair.D) == ext1_into_rank2(R, pair.C, pair.D)
+        assert ext1_into_rank2(R, pair.C, pair.D) == ext1_dimension(R, pair.C) + ext1_dimension(R, pair.D)
 
 
 @pytest.mark.parametrize("surface", WILD_SURFACES, ids=str)
@@ -165,9 +171,9 @@ def test_ext_closed_forms_on_every_wild_pair(surface):
         for X, Y in itertools.permutations(pair, 2):
             ext1 = ext1_closed_form(X, Y)
             assert ext1_dimension(X, Y) == ext1 == -euler_characteristic(Y - X)
-            assert ext_dimensions(X, Y) == (0, ext1, 0)
+            assert cohomology(Y - X) == (0, ext1, 0)
         for R in (E, F):
-            assert ext1_dimension_vs_rank2(R, C, D) == 2 - 2 * d + intersect(C, R) + intersect(D, R)
+            assert ext1_into_rank2(R, C, D) == 2 - 2 * d + intersect(C, R) + intersect(D, R)
 
 
 # --- wild pairs -----------------------------------------------------------------------
@@ -260,12 +266,12 @@ def former_family_plan(surface, n):
         ext_ce = ext1_dimension(C, E)
         return 2, "rank2", None, ext_ce - 1, ((f"O({E})", C, ext_ce, 1),)
     m = (n - 1) // 2
-    ext_e_block = ext1_dimension_vs_rank2(E, C, D)
+    ext_e_block = ext1_into_rank2(E, C, D)
     blocks = " + ".join(f"E{i + 1}" for i in range(m)) if m <= 3 else f"E1 + ... + E{m}"
     schedule = ((f"O({C})", D, ext1_dimension(D, C), m), (blocks, E, m * ext_e_block, 1))
     if n % 2 == 1:
         return n, "odd", m, m * (ext_e_block - 1), schedule
-    ext_f_total = m * ext1_dimension_vs_rank2(F, C, D) + ext1_dimension(E, F)
+    ext_f_total = m * ext1_into_rank2(F, C, D) + ext1_dimension(E, F)
     schedule += ((f"H (rank {2 * m + 1})", F, ext_f_total, 1),)
     return n, "even", m, ext_f_total - 1, schedule
 
