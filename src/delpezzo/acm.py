@@ -9,10 +9,9 @@ served per degree: :func:`orbits_of_degree` scans the coefficient box that
 the Hodge index theorem proves to hold every solution, as sorted tails with
 the lead that gives the degree, and caches each hit as one S_r-orbit record
 for the degree table, the positivity rows and ``acm verify``;
-:func:`coefficients_of_degree` expands them into coefficient tuples for the
-golden text and the wild pairs, and :func:`classes_of_degree` caches classes
-for the lines.  The closed-form catalog regenerates the records from the
-listed rows, an independent oracle.
+:func:`coefficients_of_degree`, uncached, expands them into coefficient
+tuples for the lines, the golden text and the wild pairs.  The closed-form
+catalog regenerates the records from the listed rows, an independent oracle.
 """
 
 from __future__ import annotations
@@ -145,16 +144,10 @@ def coefficients_of_degree(surface: SurfaceModel, c: int) -> list[tuple[int, ...
     return coeffs
 
 
-@lru_cache(maxsize=None)
-def classes_of_degree(surface: SurfaceModel, c: int) -> tuple[DivisorClass, ...]:
-    """Every initialized ACM class of degree c, as :func:`coefficients_of_degree` orders them."""
-    return tuple(DivisorClass(surface, v) for v in coefficients_of_degree(surface, c))
-
-
 def enumerate_acm(surface: SurfaceModel) -> list[DivisorClass]:
     """Every initialized ACM class on the surface, in the canonical order:
     the classes of degree 0, 1, ..., H^2 in turn."""
-    return [D for c in range(surface.degree + 1) for D in classes_of_degree(surface, c)]
+    return [DivisorClass(surface, v) for c in range(surface.degree + 1) for v in coefficients_of_degree(surface, c)]
 
 
 # ---------------------------------------------------------------------------

@@ -304,11 +304,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(_divisor_behind_dashes(sys.argv[1:] if argv is None else list(argv)))
     try:
         payload = args.func(args)
-        if args.format == "json":
-            print(json.dumps(payload, indent=2, sort_keys=True))
-        else:
-            for line in args.view(payload):
-                print(line)
+        # rendered whole before printing, so a failure while rendering prints nothing
+        print(json.dumps(payload, indent=2, sort_keys=True) if args.format == "json" else "\n".join(args.view(payload)))
     except (UnsupportedSurface, NotFound) as exc:
         return _fail(str(exc), OUT_OF_SCOPE)
     except (ValueError, OSError) as exc:  # bad input, or a file the environment will not let us read

@@ -15,7 +15,7 @@ from collections import namedtuple
 from functools import lru_cache
 from operator import mul
 
-from .acm import classes_of_degree, orbits_of_degree
+from .acm import coefficients_of_degree, orbits_of_degree
 from .errors import InternalError, UnsupportedSurface
 from .picard import BLOWUP, DivisorClass, SurfaceModel, canonical_class, degree, euler_characteristic
 
@@ -39,10 +39,10 @@ def enumerate_lines(surface: SurfaceModel) -> tuple[LineClass, ...]:
     carries exactly r + C(r,2) + C(r,5) of them.
     """
     lines = []
-    for D in classes_of_degree(surface, 1):
-        a, *tail = D.coeffs
+    for v in coefficients_of_degree(surface, 1):
+        a, *tail = v
         indices = "".join(str(i) for i, c in enumerate(tail, 1) if (c == 0) == (a == 2))
-        lines.append(LineClass("EFG"[a] + indices, D))
+        lines.append(LineClass("EFG"[a] + indices, DivisorClass(surface, v)))
     return tuple(sorted(lines, key=lambda L: L.label))
 
 
@@ -50,22 +50,23 @@ def enumerate_lines(surface: SurfaceModel) -> tuple[LineClass, ...]:
 # positivity, read off the low-degree ACM classes
 
 
+def _orbit_row(surface: SurfaceModel, N: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """(N.u_0, the other N.u_i sorted descending), N.u_j = sum of G_ij N_i in one pass over the Gram entries."""
+    row = [0] * surface.rank
+    for i, j, value in surface.gram:
+        row[j] += value * N[i]
+    return row[0], tuple(sorted(row[1:], reverse=True))
+
+
 @lru_cache(maxsize=None)
-def _orbit_rows(surface: SurfaceModel, degrees: tuple[int, ...]) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """(N.u_0, the other N.u_i sorted descending), N.u_j = sum of G_ij N_i in one pass over the Gram entries, for
-    the scan's representative N of each S_r-orbit of ACM classes of these degrees: distinct, as G is invertible."""
-    rows = []
-    for c in degrees:
-        for N, _, _ in orbits_of_degree(surface, c):
-            row = [0] * surface.rank
-            for i, j, value in surface.gram:
-                row[j] += value * N[i]
-            rows.append((row[0], tuple(sorted(row[1:], reverse=True))))
-    return tuple(rows)
+def _orbit_rows(surface: SurfaceModel) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The row of the scan's representative N of each S_r-orbit of lines and conics, the ACM classes of degree
+    1 and 2: distinct, as G is invertible."""
+    return tuple(_orbit_row(surface, N) for c in (1, 2) for N, _, _ in orbits_of_degree(surface, c))
 
 
-def orbit_minima(D: DivisorClass, degrees: tuple[int, ...]):
-    """The least D.N over each tail-permutation orbit of ACM classes N of these degrees.
+def orbit_minima(D: DivisorClass):
+    """The least D.N over each tail-permutation orbit of lines and conics N.
 
     One row per orbit suffices: permuting e_1..e_r preserves the pairing, H
     and the ACM criterion, so the rows (N.l, N.e_1, ..., N.e_r) are closed
@@ -75,7 +76,7 @@ def orbit_minima(D: DivisorClass, degrees: tuple[int, ...]):
     """
     head, *tail = D.coeffs
     tail.sort()
-    return (head * n_0 + sum(map(mul, tail, n_tail)) for n_0, n_tail in _orbit_rows(D.surface, degrees))
+    return (head * n_0 + sum(map(mul, tail, n_tail)) for n_0, n_tail in _orbit_rows(D.surface))
 
 
 def moving_part(D: DivisorClass) -> DivisorClass | None:
@@ -101,7 +102,7 @@ def moving_part(D: DivisorClass) -> DivisorClass | None:
     d_h = degree(D)
     if d_h < 0 or (d_h == 0 and not D.is_zero):
         return None
-    if all(m >= 0 for m in orbit_minima(D, (1, 2))):
+    if all(m >= 0 for m in orbit_minima(D)):
         return D
     surface, p = D.surface, D.coeffs
     for L in enumerate_lines(surface):
@@ -109,7 +110,7 @@ def moving_part(D: DivisorClass) -> DivisorClass | None:
         if k < 0:
             p = tuple(x + k * y for x, y in zip(p, L.divisor.coeffs))
     P = DivisorClass(surface, p)
-    return P if all(m >= 0 for m in orbit_minima(P, (1, 2))) else None
+    return P if all(m >= 0 for m in orbit_minima(P)) else None
 
 
 def is_effective(D: DivisorClass) -> bool:
@@ -125,7 +126,7 @@ def is_very_ample(D: DivisorClass) -> bool:
         raise UnsupportedSurface(
             f"the very-ampleness criterion is stated only for blow-ups of 1..6 points, not {surface}"
         )
-    return all(m > 0 for m in orbit_minima(D, (1, 2)))
+    return all(m > 0 for m in orbit_minima(D))
 
 
 def _h0(D: DivisorClass) -> int:

@@ -85,7 +85,7 @@ def _check_invariants(surface: SurfaceModel) -> list[str]:
             failures.append(f"{surface.name} {format_divisor(D)}: degree out of range")
         if not D.is_zero and not is_effective(D):
             failures.append(f"{surface.name} {format_divisor(D)}: not effective")
-        if any(m < 0 for m in orbit_minima(D, (1,))):  # some line meets D negatively
+        if any(m < 0 for m in orbit_minima(D)):  # some line or conic meets D negatively
             for L in lines:
                 prod = intersect(D, L.divisor)
                 if prod < -1 or (prod == -1 and D != L.divisor):

@@ -271,6 +271,14 @@ def euler_characteristic(D: DivisorClass) -> int:
 # ---------------------------------------------------------------------------
 # divisor text grammar: "3l-2e1-e2", "h+3m", "2C0+3f", "0"
 
+def max_digits() -> int:
+    """The most digits a divisor coefficient or a family rank may have: (limit - 1) // 2 for the int-to-str limit
+    ``sys.get_int_max_str_digits()``, so that D^2, chi and the genus (at most 7 times a squared coefficient) and the
+    Ext^1 dimensions of a rank-n plan (at most 2n) can be printed; no limit before Python 3.10.7, which lacks it."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return (limit - 1) // 2 if limit else sys.maxsize
+
+
 # One term: [sign] [digits] [symbol], whitespace anywhere.  [0-9], not \d:
 # digits are ASCII only (\d and str.isdigit accept "²" and "٣"); \s accepts
 # exactly what str.isspace does.
@@ -285,13 +293,9 @@ def parse_divisor(surface: SurfaceModel, text: str) -> DivisorClass:
     in any order, repeated basis symbols are summed and a bare ``0`` term
     contributes nothing.  Unknown symbols for the surface are errors, not
     zeros; errors carry the character position of the offending token.
-    Coefficients have at most (limit - 1) // 2 digits for the int-to-str
-    limit ``sys.get_int_max_str_digits()``, so that D^2, chi and the genus,
-    at most 7 times a squared coefficient, can be printed; interpreters
-    without that function (before 3.10.7) have no limit.
+    Coefficients have at most :func:`max_digits` digits.
     """
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    max_digits = (limit - 1) // 2 if limit else sys.maxsize
+    cap = max_digits()
     coeffs = [0] * surface.rank
     pos, n = len(text) - len(text.lstrip()), len(text)
     if pos == n:
@@ -299,8 +303,8 @@ def parse_divisor(surface: SurfaceModel, text: str) -> DivisorClass:
     while pos < n:
         m = _TERM.match(text, pos)
         sign, digits, sym = m.groups()
-        if len(digits) > max_digits:
-            raise DivisorParseError(f"coefficient has more than {max_digits} digits", m.start(2))
+        if len(digits) > cap:
+            raise DivisorParseError(f"coefficient has more than {cap} digits", m.start(2))
         if sym is not None:
             vec = surface.symbols.get("e" + sym[1:].lstrip("0") if sym[0] == "e" else sym)
             if vec is None:
@@ -315,8 +319,8 @@ def parse_divisor(surface: SurfaceModel, text: str) -> DivisorClass:
         pos = m.end()
         if pos < n and text[pos] not in "+-":
             raise DivisorParseError(f"unexpected {text[pos]!r} after term", pos)
-    if any(len(str(abs(c))) > max_digits for c in coeffs):
-        raise DivisorParseError(f"a summed coefficient has more than {max_digits} digits", 0)
+    if any(len(str(abs(c))) > cap for c in coeffs):
+        raise DivisorParseError(f"a summed coefficient has more than {cap} digits", 0)
     return DivisorClass(surface, coeffs)
 
 

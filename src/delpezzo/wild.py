@@ -24,7 +24,7 @@ from .errors import (
 )
 from .acm import coefficients_of_degree, is_acm_initialized
 from .geometry import cohomology
-from .picard import DivisorClass, SurfaceModel, degree, hyperplane, intersect
+from .picard import DivisorClass, SurfaceModel, degree, hyperplane, intersect, max_digits
 
 
 # ---------------------------------------------------------------------------
@@ -131,10 +131,14 @@ def family_plan(surface: SurfaceModel, n: int) -> FamilyPlan:
     distinct rank-2 extensions of O(D) by O(C), then one extension by O(E),
     giving (P^2)^m.  Rank 2m+2: the odd-rank bundle extended by O(F),
     giving P^(1+3m).  The Ext^1 dimensions are read off :data:`RELATIONS`,
-    which every pair is checked against when it is found.
+    which every pair is checked against when it is found.  The rank has at
+    most ``picard.max_digits()`` digits.
     """
     if n < 2:
         raise PreconditionViolated(f"rank must be at least 2, got {n}")
+    cap = max_digits()
+    if n >= 10 ** min(cap, n.bit_length()):  # n >= 10**cap; the bit length keeps the power small
+        raise PreconditionViolated(f"rank has more than {cap} digits")
     if surface.degree > 6:
         raise UnsupportedSurface(
             f"the family construction needs degree <= 6, {surface} has degree {surface.degree}"

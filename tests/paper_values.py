@@ -8,7 +8,8 @@ printed table).  TOTALS is the bottom row.  The lemmas below (the
 intersection bounds for ACM curves, the alternative base and its frame
 decomposition, Ext^1 into a rank-2 extension, the ruled coordinates on X1)
 have no caller in the package; the tests hold them against the catalog, the
-lines and the divisor grammar.
+lines and the divisor grammar.  :func:`classes_of_degree` builds the catalog
+of one degree as classes, which the package expands as coefficient tuples.
 """
 
 from collections import namedtuple
@@ -16,6 +17,7 @@ from operator import mul
 
 from delpezzo import (
     BLOWUP,
+    DivisorClass,
     InternalError,
     PreconditionViolated,
     SurfaceMismatch,
@@ -26,7 +28,7 @@ from delpezzo import (
     intersect,
     parse_divisor,
 )
-from delpezzo.acm import classes_of_degree
+from delpezzo.acm import coefficients_of_degree
 from delpezzo.geometry import enumerate_lines, moving_part
 
 EXPECTED_COUNTS = {
@@ -51,6 +53,12 @@ WILD_TABLE = {
     "X5": ("3l-2e1-e2-e3-e4", "3l-2e2-e3-e4-e5", 5),
     "X6": ("3l-2e1-e2-e3-e4-e5", "3l-2e2-e3-e4-e5-e6", 4),
 }
+
+
+def classes_of_degree(surface, c):
+    """Every initialized ACM class of degree c, in the order of ``acm.coefficients_of_degree``."""
+    return tuple(DivisorClass(surface, v) for v in coefficients_of_degree(surface, c))
+
 
 # Closed forms of the paper for the cohomology of an initialized ACM class D,
 # the oracles of geometry.cohomology.  For D != 0, D^2 = D.H - 2 gives

@@ -34,6 +34,7 @@ from paper_values import (
     EXPECTED_COUNTS,
     TOTALS,
     ambient_dimension,
+    classes_of_degree,
     h0_hyperplane_residual,
     h1_initialized_twist,
     h2_twist_minus_2,
@@ -107,7 +108,7 @@ def test_degree_count_table(surface):
 
 @pytest.mark.parametrize("surface", ALL_SURFACES, ids=str)
 def test_classes_of_degree_concatenate_to_the_enumeration(surface):
-    by_degree = [acm.classes_of_degree(surface, c) for c in range(surface.degree + 1)]
+    by_degree = [classes_of_degree(surface, c) for c in range(surface.degree + 1)]
     assert [D for classes in by_degree for D in classes] == enumerate_acm(surface)
     assert all(degree(D) == c for c, classes in enumerate(by_degree) for D in classes)
     assert {c: len(classes) for c, classes in enumerate(by_degree) if classes} == degree_count_table(surface)
@@ -122,7 +123,7 @@ def test_classes_of_degree_outside_the_range_are_not_scanned(monkeypatch):
     for surface in ALL_SURFACES:
         for c in (-1, -(10**6), surface.degree + 1, 10**6):
             assert acm.orbits_of_degree(surface, c) == ()
-            assert acm.classes_of_degree(surface, c) == ()
+            assert acm.coefficients_of_degree(surface, c) == []
 
 
 @pytest.mark.parametrize("surface", ALL_SURFACES, ids=str)
@@ -131,12 +132,12 @@ def test_orbit_records_are_the_expansion_of_the_scan(surface):
     representative is the first class its expansion emits, and each size is
     the number of distinct permutations of the representative's tail."""
     for c in range(surface.degree + 1):
-        records, classes = acm.orbits_of_degree(surface, c), acm.classes_of_degree(surface, c)
-        assert sum(rec.orbit_count for rec in records) == len(classes), c
+        records, coeffs = acm.orbits_of_degree(surface, c), acm.coefficients_of_degree(surface, c)
+        assert sum(rec.orbit_count for rec in records) == len(coeffs), c
         start = 0
         for rec in records:
             assert rec.degree == c
-            assert rec.canonical == classes[start].coeffs
+            assert rec.canonical == coeffs[start]
             assert rec.orbit_count == len(set(itertools.permutations(rec.canonical[1:])))
             start += rec.orbit_count
 
@@ -145,17 +146,14 @@ def test_a_class_enumerated_twice_is_an_internal_error(monkeypatch):
     """The expansion's duplicate guard: a record served twice repeats its orbit."""
     records = acm.orbits_of_degree(X3, 1)
     acm.orbits_of_degree.cache_clear()
-    acm.classes_of_degree.cache_clear()
     monkeypatch.setattr(acm, "orbits_of_degree", lambda s, c: records + records[:1])
     try:
-        for expand in (acm.coefficients_of_degree, acm.classes_of_degree):
-            with pytest.raises(InternalError) as info:
-                expand(X3, 1)
-            assert str(info.value) == "duplicate classes of degree 1 enumerated on X3"
+        with pytest.raises(InternalError) as info:
+            acm.coefficients_of_degree(X3, 1)
+        assert str(info.value) == "duplicate classes of degree 1 enumerated on X3"
     finally:
         monkeypatch.undo()
         acm.orbits_of_degree.cache_clear()
-        acm.classes_of_degree.cache_clear()
 
 
 @pytest.mark.parametrize("surface", ALL_SURFACES, ids=str)
@@ -173,7 +171,6 @@ def test_degree_count_table_builds_no_class(monkeypatch):
     surfaces = [SurfaceModel(BLOWUP, r) for r in range(7)] + [SurfaceModel(QUADRIC)]
     assert len(built) == sum(s.rank + 2 for s in surfaces)
     acm.orbits_of_degree.cache_clear()
-    acm.classes_of_degree.cache_clear()
     tables = [degree_count_table(s) for s in surfaces]
     assert len(built) == sum(s.rank + 2 for s in surfaces)
     assert [sum(t.values()) for t in tables] == [TOTALS[s.name] for s in surfaces]
@@ -198,7 +195,7 @@ def former_classes_of_degree(surface, c):
 @pytest.mark.parametrize("surface", ALL_SURFACES, ids=str)
 def test_classes_of_degree_equal_the_former_expansion(surface):
     for c in range(surface.degree + 1):
-        assert acm.classes_of_degree(surface, c) == former_classes_of_degree(surface, c), c
+        assert classes_of_degree(surface, c) == former_classes_of_degree(surface, c), c
 
 
 @given(t=st.lists(st.integers(-2, 2), max_size=6))
@@ -211,9 +208,10 @@ def test_distinct_permutations_are_sorted_and_complete(t):
 
 @pytest.mark.parametrize("surface", ALL_SURFACES, ids=str)
 def test_coefficients_of_degree_are_the_classes_coefficients(surface):
+    catalog = enumerate_acm(surface)
     for c in range(-1, surface.degree + 2):
         coeffs = acm.coefficients_of_degree(surface, c)
-        assert coeffs == [D.coeffs for D in acm.classes_of_degree(surface, c)], c
+        assert coeffs == [D.coeffs for D in catalog if degree(D) == c], c
         assert all(type(v) is tuple for v in coeffs)
 
 

@@ -12,6 +12,7 @@ from delpezzo import (
     InternalError,
     PreconditionViolated,
     acm,
+    cli,
     format_divisor,
     geometry,
     parse_divisor,
@@ -381,6 +382,24 @@ def test_wild_bad_rank(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("limit", [None, 640], ids=["default-limit", "lowered-limit"])
+def test_wild_rank_too_long_to_print(limit, fmt, capsys):
+    # the plan's Ext^1 dimensions, about 1.5 times the rank, may have a digit more than it
+    default = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit or default)
+    try:
+        cap = (sys.get_int_max_str_digits() - 1) // 2
+        for rank in ("9" * sys.get_int_max_str_digits(), "1" + "0" * cap):
+            code, out, err = run(capsys, "wild", "X6", "--rank", rank, "--format", fmt)
+            assert (code, out, err) == (2, "", f"acm: error: rank has more than {cap} digits\n")
+        code, out, err = run(capsys, "wild", "X6", "--rank", "9" * cap, "--format", fmt)  # the longest rank
+        assert (code, err) == (0, "")
+        assert f"param_dim: {10**cap - 2}" in out if fmt == "text" else json.loads(out)["param_dim"] == 10**cap - 2
+    finally:
+        sys.set_int_max_str_digits(default)
+
+
 # --- verify ------------------------------------------------------------------------
 
 
@@ -593,6 +612,18 @@ def test_byte_identical_reruns(argv, capsys):
 
 
 # --- internal errors -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command", ["lines", "table"])
+def test_a_view_that_fails_prints_nothing(command, capsys, monkeypatch):
+    """The text view is rendered whole before it is printed."""
+
+    def broken(payload):
+        yield "first line"
+        raise KeyError("boom")
+
+    monkeypatch.setattr(cli, f"text_{command}", broken)
+    assert run(capsys, command, "X6") == (4, "", "acm: internal error: KeyError: 'boom'\n")
 
 
 @pytest.mark.parametrize("error", [InternalError("duplicate classes enumerated"), KeyError("boom")])

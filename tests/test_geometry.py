@@ -26,8 +26,9 @@ from delpezzo import (
     zero_class,
 )
 from delpezzo import geometry
-from delpezzo.acm import classes_of_degree, enumerate_acm, orbits_of_degree
+from delpezzo.acm import enumerate_acm, orbits_of_degree
 from delpezzo.geometry import (
+    _orbit_row,
     _orbit_rows,
     cohomology,
     enumerate_lines,
@@ -36,7 +37,7 @@ from delpezzo.geometry import (
     orbit_minima,
 )
 
-from paper_values import LINE_COUNTS, alternative_base, decompose, has_smooth_nonline_member
+from paper_values import LINE_COUNTS, alternative_base, classes_of_degree, decompose, has_smooth_nonline_member
 
 X0, X1, X2, X3, X5, X6 = (blow_up(r) for r in (0, 1, 2, 3, 5, 6))
 Q = quadric()
@@ -314,14 +315,23 @@ def former_pairing_rows(surface, degrees):
     return [tuple(intersect(N, u) for u in surface.units) for c in degrees for N in classes_of_degree(surface, c)]
 
 
+def orbit_rows_of(surface, degrees):
+    """The package's rows of the orbit records of these degrees: ``_orbit_rows``, uncached, for the lines and
+    conics (degrees 1 and 2), which the positivity tests read, and ``_orbit_row`` of each record otherwise."""
+    if degrees == (1, 2):
+        return _orbit_rows.__wrapped__(surface)
+    return tuple(_orbit_row(surface, N) for c in degrees for N, _, _ in orbits_of_degree(surface, c))
+
+
 @pytest.mark.parametrize("surface", ALL_SURFACES, ids=str)
 def test_orbit_rows_are_the_deduplicated_former_rows(surface):
     """One row per orbit representative equals the former rows of every
     class, each tail sorted descending, duplicates dropped in order: for
-    each degree 0..H^2 and the degree sets the positivity tests read."""
+    each degree 0..H^2, the lines and conics, and the former cubic rows."""
     for degrees in [(c,) for c in range(surface.degree + 1)] + [(1, 2), (2, 3)]:
         former = [(row[0], tuple(sorted(row[1:], reverse=True))) for row in former_pairing_rows(surface, degrees)]
-        assert _orbit_rows(surface, degrees) == tuple(dict.fromkeys(former)), degrees
+        assert orbit_rows_of(surface, degrees) == tuple(dict.fromkeys(former)), degrees
+    assert _orbit_rows(surface) == orbit_rows_of(surface, (1, 2))
 
 
 def per_unit_orbit_rows(surface, degrees):
@@ -334,7 +344,7 @@ def per_unit_orbit_rows(surface, degrees):
 @pytest.mark.parametrize("surface", ALL_SURFACES, ids=str)
 @pytest.mark.parametrize("degrees", [(1,), (1, 2), (2, 3)], ids=str)
 def test_orbit_rows_equal_the_per_unit_pair_rows(surface, degrees):
-    assert _orbit_rows.__wrapped__(surface, degrees) == per_unit_orbit_rows(surface, degrees)
+    assert orbit_rows_of(surface, degrees) == per_unit_orbit_rows(surface, degrees)
 
 
 def former_products(D, degrees):
@@ -354,12 +364,17 @@ def positivity_box(surface):
 
 
 @pytest.mark.parametrize("surface", ALL_SURFACES, ids=str)
-def test_positivity_agrees_with_the_former_full_rows(surface):
+def test_positivity_agrees_with_the_former_full_rows(surface, monkeypatch):
+    """orbit_minima on the lines and conics, and on the rows of the lines alone and of the
+    former cubic test, patched in, is the least product over every class of those degrees."""
     sample = positivity_box(surface)
     for degrees in ((2, 3), (1, 2), (1,)):
-        assert [min(orbit_minima(D, degrees), default=None) for D in sample] == [
-            min(former_products(D, degrees), default=None) for D in sample
-        ]
+        with monkeypatch.context() as patch:
+            if degrees != (1, 2):
+                patch.setattr(geometry, "_orbit_rows", lambda s: orbit_rows_of(s, degrees))
+            assert [min(orbit_minima(D), default=None) for D in sample] == [
+                min(former_products(D, degrees), default=None) for D in sample
+            ]
     effective = [is_effective(D) for D in sample]
     assert effective == [all(p >= 0 for p in former_products(D, (2, 3))) for D in sample]
     assert any(effective) and not all(effective)
@@ -408,8 +423,8 @@ def test_moving_part_is_the_zariski_decomposition_on_the_box(surface):
 
 
 # orbit rows of the ACM classes of degree 2 and 3 (the former dual-cone effectivity test, kept as an
-# oracle), 1 and 2 (the nef test of moving_part, and is_very_ample) and 1 (the line check of verify),
-# up to permuting e_1..e_r
+# oracle), 1 and 2 (the rows of orbit_minima: the nef test of moving_part, is_very_ample and the line
+# check of verify) and 1 (the lines alone), up to permuting e_1..e_r
 ORBIT_ROWS = {
     "X0": (1, 0, 0),
     "X1": (2, 2, 1),
@@ -424,9 +439,9 @@ ORBIT_ROWS = {
 
 @pytest.mark.parametrize("surface", ALL_SURFACES, ids=str)
 def test_orbit_row_counts(surface):
-    H = hyperplane(surface)
-    counts = tuple(len(list(orbit_minima(H, degrees))) for degrees in ((2, 3), (1, 2), (1,)))
+    counts = tuple(len(orbit_rows_of(surface, degrees)) for degrees in ((2, 3), (1, 2), (1,)))
     assert counts == ORBIT_ROWS[surface.name]
+    assert len(list(orbit_minima(hyperplane(surface)))) == ORBIT_ROWS[surface.name][1]
 
 
 @given(data=st.data())

@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import pytest
 
@@ -19,7 +20,7 @@ from delpezzo import (
     zero_class,
 )
 from delpezzo import wild
-from delpezzo.acm import classes_of_degree, enumerate_acm, is_acm_initialized
+from delpezzo.acm import enumerate_acm, is_acm_initialized
 from delpezzo.geometry import cohomology
 from delpezzo.wild import (
     ext1_dimension,
@@ -32,6 +33,7 @@ from delpezzo.wild import (
 
 from paper_values import (
     WILD_TABLE,
+    classes_of_degree,
     ext1_closed_form,
     ext1_dimension_vs_rank2,
     h2_twist_minus_2,
@@ -295,6 +297,19 @@ def test_family_plan_errors():
     for surface, n in ((X2, 1), (Q, 0)):  # the rank is checked before the surface
         with pytest.raises(PreconditionViolated, match="rank must be at least 2"):
             family_plan(surface, n)
+
+
+def test_family_plan_rank_digit_cap(monkeypatch):
+    # the Ext^1 dimensions of a rank-n plan, about 1.5 n, may have a digit more than n
+    cap = (sys.get_int_max_str_digits() - 1) // 2
+    plan = family_plan(X6, 10**cap - 1)
+    assert (plan.shape, plan.param_dim) == (wild.ODD, 10**cap - 2)
+    for surface, n in ((X6, 10**cap), (X6, 10**5000), (X2, 10**cap)):  # the rank is checked before the surface
+        with pytest.raises(PreconditionViolated) as info:
+            family_plan(surface, n)
+        assert str(info.value) == f"rank has more than {cap} digits"
+    monkeypatch.delattr(sys, "get_int_max_str_digits")  # Python 3.10.0-3.10.6: no limit to cap
+    assert family_plan(X6, 10**3000).param_dim == 3 * (10**3000 - 2) // 2 + 1
 
 
 def test_family_slope_examples():
