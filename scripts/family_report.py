@@ -4,7 +4,7 @@
 import argparse
 
 from delpezzo import blow_up, format_divisor, intersect
-from delpezzo.wild import family_plan, family_slope, find_wild_pair, find_wild_pairs
+from delpezzo.wild import family_plan, find_wild_pair, find_wild_pairs
 
 
 def main() -> None:
@@ -24,8 +24,7 @@ def main() -> None:
         for n in range(2, args.max_rank + 1):
             plan = family_plan(surface, n)
             dims.append(f"{n}:{plan.param_dim}")
-        slope = family_slope(surface, family_plan(surface, 2))
-        print(f"  rank:dim  {'  '.join(dims)}   (slope {slope} throughout)")
+        print(f"  rank:dim  {'  '.join(dims)}   (slope {surface.degree} throughout)")
 
 
 if __name__ == "__main__":

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import re
 import sys
 from collections.abc import Iterator
 
@@ -35,6 +36,7 @@ from .picard import (
     degree,
     euler_characteristic,
     format_divisor,
+    max_digits,
     parse_divisor,
     self_intersection,
     surface_from_name,
@@ -202,13 +204,12 @@ def cmd_wild(args: argparse.Namespace) -> dict:
             for step in plan.schedule
         ],
         "param_dim": plan.param_dim,
-        "slope": wild.family_slope(surface, plan),
+        "slope": surface.degree,
     }
 
 
 def text_wild(p: dict) -> Iterator[str]:
-    # the degree is not a payload field: the schema admits no extra key
-    yield f"surface: {p['surface']} (degree {surface_from_name(p['surface']).degree})"
+    yield f"surface: {p['surface']} (degree {p['slope']})"  # the slope of every plan is H^2
     yield f"rank: {p['rank']} ({p['shape']}" + (f", m={p['m']})" if p["m"] is not None else ")")
     yield "pair:"
     for label, text in p["pair"].items():
@@ -243,6 +244,18 @@ def text_verify(p: dict) -> Iterator[str]:
 # parser
 
 
+def _rank(text: str) -> int:
+    """``int``, but a rank of more than ``max_digits()`` digits reads as ``10**max_digits()``, which
+    ``wild.family_plan`` rejects by that cap: ``int`` itself refuses a rank past the int-to-str limit."""
+    cap = max_digits()
+    if len(text) > cap and re.fullmatch(rf"\s*[+-]?\d{{{cap + 1},}}\s*", text):
+        return 10**cap
+    return int(text)
+
+
+_rank.__name__ = "int"  # argparse names the type in "invalid int value"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="acm",
@@ -271,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_wild = sub.add_parser("wild", help="wild pair and rank-n family plan")
     p_wild.add_argument("surface")
-    p_wild.add_argument("--rank", type=int, required=True)
+    p_wild.add_argument("--rank", type=_rank, required=True)
     add_format(p_wild)
     p_wild.set_defaults(func=cmd_wild, view=text_wild)
 

@@ -40,7 +40,6 @@ class SurfaceModel:
     * ``gram``: the nonzero entries ``(i, j, value)`` of the Gram matrix in
       the standard basis, one per coordinate: ``l^2 = 1`` and ``e_i^2 = -1``
       on blow-ups, ``h.m = m.h = 1`` on the quadric;
-    * ``units``: the basis classes, (l, e1, ..., er) or (h, m);
     * ``canonical`` and ``hyperplane``: the classes K and H = -K;
     * ``degree_vector``: the coefficients of the functional D -> D.H,
       ``(3, 1, ..., 1)`` on blow-ups and ``(2, 2)`` on the quadric;
@@ -48,8 +47,8 @@ class SurfaceModel:
       ``symbols`` (every symbol of the divisor text grammar, with its vector).
     """
 
-    __slots__ = ("kind", "r", "rank", "name", "basis", "symbols", "gram", "units",
-                 "canonical", "hyperplane", "degree_vector", "degree")
+    __slots__ = ("kind", "r", "rank", "name", "basis", "symbols", "gram", "canonical",
+                 "hyperplane", "degree_vector", "degree")
     __setattr__ = __delattr__ = _immutable
 
     def __init__(self, kind: str, r: int | None = None):
@@ -80,7 +79,6 @@ class SurfaceModel:
         put("basis", basis)
         put("symbols", symbols)
         put("gram", gram)
-        put("units", tuple(DivisorClass(self, v) for v in vectors))
         put("canonical", DivisorClass(self, canonical))
         put("hyperplane", -self.canonical)
         H = self.hyperplane.coeffs

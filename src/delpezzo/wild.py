@@ -19,7 +19,6 @@ from .errors import (
     NotApplicable,
     NotFound,
     PreconditionViolated,
-    SurfaceMismatch,
     UnsupportedSurface,
 )
 from .acm import coefficients_of_degree, is_acm_initialized
@@ -131,8 +130,10 @@ def family_plan(surface: SurfaceModel, n: int) -> FamilyPlan:
     distinct rank-2 extensions of O(D) by O(C), then one extension by O(E),
     giving (P^2)^m.  Rank 2m+2: the odd-rank bundle extended by O(F),
     giving P^(1+3m).  The Ext^1 dimensions are read off :data:`RELATIONS`,
-    which every pair is checked against when it is found.  The rank has at
-    most ``picard.max_digits()`` digits.
+    which every pair is checked against when it is found.  Every bundle of
+    the plan has slope H^2, the surface's ``degree``: each of O(C), O(D),
+    O(E), O(F) has degree H^2.  The rank has at most ``picard.max_digits()``
+    digits.
     """
     if n < 2:
         raise PreconditionViolated(f"rank must be at least 2, got {n}")
@@ -158,19 +159,6 @@ def family_plan(surface: SurfaceModel, n: int) -> FamilyPlan:
     ext_f_total = m * (cf + df) + ef
     even_step = ExtensionStep(sub=f"H (rank {2 * m + 1})", quotient=F, ext1_dim=ext_f_total)
     return FamilyPlan(n, EVEN, m, ext_f_total - 1, (rank2_step, odd_step, even_step), pair)
-
-
-def family_slope(surface: SurfaceModel, plan: FamilyPlan) -> int:
-    """Slope (total degree / rank) of every bundle in the plan: H^2 of its surface.
-
-    Every constituent line bundle O(C), O(D), O(E), O(F) is a maximal-degree
-    ACM class, of degree H^2, so a rank-n bundle has total degree n H^2.
-    Raises SurfaceMismatch when ``surface`` is not the plan's surface.
-    """
-    plan_surface = plan.pair.C.surface
-    if surface != plan_surface:
-        raise SurfaceMismatch(f"the plan lives on {plan_surface}, not on {surface}")
-    return plan_surface.degree
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,11 @@ WILD_TABLE = {
 }
 
 
+def units(surface):
+    """The basis classes, (l, e1, ..., er) on blow-ups or (h, m) on the quadric."""
+    return tuple(DivisorClass(surface, surface.symbols[b]) for b in surface.basis)
+
+
 def classes_of_degree(surface, c):
     """Every initialized ACM class of degree c, in the order of ``acm.coefficients_of_degree``."""
     return tuple(DivisorClass(surface, v) for v in coefficients_of_degree(surface, c))
@@ -165,7 +170,7 @@ def alternative_base(surface):
     """The base-point-free basis D_0 = l, D_1 = l-e1, ..., D_r of Pic."""
     if surface.kind != BLOWUP or not 2 <= surface.r <= 6:
         raise UnsupportedSurface(f"alternative base needs a blow-up of 2..6 points, not {surface}")
-    l, *e = surface.units
+    l, *e = units(surface)
     return BaseDecomposition(l, tuple(e), ()).base_divisors()
 
 
@@ -204,7 +209,7 @@ class BaseDecomposition(namedtuple("BaseDecomposition", "line_class exceptional 
     def permutation(self):
         """1-based relabeling of the standard e_i, when the frame is one."""
         surface = self.exceptional[0].surface
-        standard = list(surface.units[1:])
+        standard = list(units(surface)[1:])
         perm = []
         for ec in self.exceptional:
             if ec not in standard:

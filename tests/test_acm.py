@@ -164,15 +164,15 @@ def test_both_producers_write_representatives_as_coefficient_tuples(surface):
 
 
 def test_degree_count_table_builds_no_class(monkeypatch):
-    """Only the surface models build classes: their units, K and H."""
+    """Only the surface models build classes: their K and H."""
     built = []
     post_init = DivisorClass.__post_init__
     monkeypatch.setattr(DivisorClass, "__post_init__", lambda D: built.append(D) or post_init(D))
     surfaces = [SurfaceModel(BLOWUP, r) for r in range(7)] + [SurfaceModel(QUADRIC)]
-    assert len(built) == sum(s.rank + 2 for s in surfaces)
+    assert len(built) == 2 * len(surfaces)
     acm.orbits_of_degree.cache_clear()
     tables = [degree_count_table(s) for s in surfaces]
-    assert len(built) == sum(s.rank + 2 for s in surfaces)
+    assert len(built) == 2 * len(surfaces)
     assert [sum(t.values()) for t in tables] == [TOTALS[s.name] for s in surfaces]
 
 

@@ -382,6 +382,15 @@ def test_wild_bad_rank(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("rank", ["abc", "+-" + "9" * 5000], ids=["abc", "over-long"])
+def test_wild_rank_that_is_no_integer_is_an_argparse_error(rank, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["wild", "X3", "--rank", rank])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.endswith(f"acm wild: error: argument --rank: invalid int value: {rank!r}\n")
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("limit", [None, 640], ids=["default-limit", "lowered-limit"])
 def test_wild_rank_too_long_to_print(limit, fmt, capsys):
@@ -389,13 +398,17 @@ def test_wild_rank_too_long_to_print(limit, fmt, capsys):
     default = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(limit or default)
     try:
-        cap = (sys.get_int_max_str_digits() - 1) // 2
-        for rank in ("9" * sys.get_int_max_str_digits(), "1" + "0" * cap):
+        int_limit = sys.get_int_max_str_digits()
+        cap = (int_limit - 1) // 2
+        # past int_limit digits int() refuses the text, so the rank is capped by its digit count before int()
+        over_long = ("9" * (int_limit + 1), " +" + "9" * (int_limit + 1), "-" + "9" * (cap + 1))
+        for rank in ("9" * int_limit, "1" + "0" * cap, *over_long):
             code, out, err = run(capsys, "wild", "X6", "--rank", rank, "--format", fmt)
             assert (code, out, err) == (2, "", f"acm: error: rank has more than {cap} digits\n")
-        code, out, err = run(capsys, "wild", "X6", "--rank", "9" * cap, "--format", fmt)  # the longest rank
-        assert (code, err) == (0, "")
-        assert f"param_dim: {10**cap - 2}" in out if fmt == "text" else json.loads(out)["param_dim"] == 10**cap - 2
+        for rank in ("9" * cap, " +" + "9" * cap):  # the longest rank; its sign is no digit
+            code, out, err = run(capsys, "wild", "X6", "--rank", rank, "--format", fmt)
+            assert (code, err) == (0, "")
+            assert f"param_dim: {10**cap - 2}" in out if fmt == "text" else json.loads(out)["param_dim"] == 10**cap - 2
     finally:
         sys.set_int_max_str_digits(default)
 
@@ -588,6 +601,37 @@ def test_text_output_pinned(argv, code, out, err, tmp_path, capsys):
     if argv[0] == "verify" and code == 0:
         got_out = "".join(got_out.splitlines(keepends=True)[-2:])
     assert (got_code, got_out, got_err) == (code, out, err.replace("MISSING", missing))
+
+
+# --- the text views read their payloads alone ----------------------------------------
+
+VIEW_ARGVS = [
+    ("lines", "X6"),
+    ("classify", "X3", "3l-2e1-e2"),
+    ("classify", "X2", "2l-3e1"),
+    ("table", "X5"),
+    ("table", "all"),
+    ("wild", "X6", "--rank", "7"),
+    ("wild", "X3", "--rank", "2"),
+    ("verify", "--golden", GOLDEN_DIR),
+]
+
+
+@pytest.mark.parametrize("argv", VIEW_ARGVS, ids=["_".join(a for a in argv if a != GOLDEN_DIR) for argv in VIEW_ARGVS])
+def test_text_view_renders_from_its_json_payload_alone(argv, capsys, monkeypatch):
+    """The payload, parsed back from JSON, renders the text output with no surface to look up.  It is
+    dumped in its own key order: ``--format json`` sorts the keys, and the views list some in payload order."""
+    code, text, _ = run(capsys, *argv)
+    _, out, _ = run(capsys, *argv, "--format", "json")
+    args = cli.build_parser().parse_args(argv)
+    payload = json.loads(json.dumps(args.func(args)))
+    assert (code, payload) == (0, json.loads(out))
+
+    def refuse(name):
+        raise AssertionError(f"the text view looked up the surface {name!r}")
+
+    monkeypatch.setattr(cli, "surface_from_name", refuse)
+    assert "\n".join(args.view(payload)) + "\n" == text
 
 
 # --- determinism --------------------------------------------------------------------

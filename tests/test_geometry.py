@@ -37,7 +37,14 @@ from delpezzo.geometry import (
     orbit_minima,
 )
 
-from paper_values import LINE_COUNTS, alternative_base, classes_of_degree, decompose, has_smooth_nonline_member
+from paper_values import (
+    LINE_COUNTS,
+    alternative_base,
+    classes_of_degree,
+    decompose,
+    has_smooth_nonline_member,
+    units,
+)
 
 X0, X1, X2, X3, X5, X6 = (blow_up(r) for r in (0, 1, 2, 3, 5, 6))
 Q = quadric()
@@ -82,7 +89,7 @@ def formula_lines(surface):
     e_i, l - e_i - e_j, 2l - e1 - ... - e5 on X5 and 2l minus five of e1..e6 on X6."""
     if surface.kind == "quadric" or surface.r == 0:
         return []
-    l, *e = surface.units
+    l, *e = units(surface)
     r = surface.r
     lines = [(f"E{i + 1}", e[i]) for i in range(r)]
     for i, j in itertools.combinations(range(r), 2):
@@ -243,9 +250,9 @@ def test_effectivity_beyond_the_search():
 def former_cone_generators(surface):
     """l on X0, e1 and l-e1 on X1, h and m on the quadric, the (-1)-lines for r >= 2."""
     if surface.kind == "quadric" or surface.r == 0:
-        return surface.units
+        return units(surface)
     if surface.r == 1:
-        l, e1 = surface.units
+        l, e1 = units(surface)
         return (e1, l - e1)
     return tuple(L.divisor for L in enumerate_lines(surface))
 
@@ -312,7 +319,7 @@ def test_low_degree_acm_classes():
 def former_pairing_rows(surface, degrees):
     """(N.u for u in the basis) for every ACM class N of the given degrees:
     the rows the positivity tests read before they read one per orbit."""
-    return [tuple(intersect(N, u) for u in surface.units) for c in degrees for N in classes_of_degree(surface, c)]
+    return [tuple(intersect(N, u) for u in units(surface)) for c in degrees for N in classes_of_degree(surface, c)]
 
 
 def orbit_rows_of(surface, degrees):
@@ -336,8 +343,8 @@ def test_orbit_rows_are_the_deduplicated_former_rows(surface):
 
 def per_unit_orbit_rows(surface, degrees):
     """The former orbit rows, kept as the oracle: one ``pair`` call per basis class."""
-    units = [u.coeffs for u in surface.units]
-    rows = ([surface.pair(N, u) for u in units] for c in degrees for N, _, _ in orbits_of_degree(surface, c))
+    basis = [u.coeffs for u in units(surface)]
+    rows = ([surface.pair(N, u) for u in basis] for c in degrees for N, _, _ in orbits_of_degree(surface, c))
     return tuple((row[0], tuple(sorted(row[1:], reverse=True))) for row in rows)
 
 
@@ -719,7 +726,7 @@ def former_decompose(D):
     surface = D.surface
     r = surface.r
     if r <= 4:
-        standard = surface.units[1:]
+        standard = units(surface)[1:]
         frame = tuple(standard[i] for i in sorted(range(r), key=lambda i: (-intersect(D, standard[i]), i)))
     else:
         lines = [L.divisor for L in enumerate_lines(surface)]

@@ -65,7 +65,7 @@ def test_golden_lines_equal_the_former_class_formatting(name):
 
 
 def test_golden_lines_build_no_class(monkeypatch):
-    surfaces = [surface_from_name(name) for name in SURFACE_NAMES]  # a surface model builds its units, K and H
+    surfaces = [surface_from_name(name) for name in SURFACE_NAMES]  # a surface model builds its K and H
     built = []
     post_init = DivisorClass.__post_init__
     monkeypatch.setattr(DivisorClass, "__post_init__", lambda D: built.append(D) or post_init(D))

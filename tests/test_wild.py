@@ -1,4 +1,5 @@
 import itertools
+import json
 import sys
 
 import pytest
@@ -8,7 +9,6 @@ from delpezzo import (
     NotApplicable,
     NotFound,
     PreconditionViolated,
-    SurfaceMismatch,
     UnsupportedSurface,
     blow_up,
     degree,
@@ -19,13 +19,12 @@ from delpezzo import (
     quadric,
     zero_class,
 )
-from delpezzo import wild
+from delpezzo import cli, wild
 from delpezzo.acm import enumerate_acm, is_acm_initialized
 from delpezzo.geometry import cohomology
 from delpezzo.wild import (
     ext1_dimension,
     family_plan,
-    family_slope,
     find_wild_pair,
     find_wild_pairs,
     is_zero_regular_acm,
@@ -256,7 +255,6 @@ def test_family_dimensions_up_to_rank_50(surface):
         else:
             m = (n - 2) // 2
             assert plan.param_dim == 3 * m + 1
-        assert family_slope(surface, plan) == surface.degree
 
 
 def former_family_plan(surface, n):
@@ -312,18 +310,16 @@ def test_family_plan_rank_digit_cap(monkeypatch):
     assert family_plan(X6, 10**3000).param_dim == 3 * (10**3000 - 2) // 2 + 1
 
 
-def test_family_slope_examples():
-    assert family_slope(X3, family_plan(X3, 2)) == 6
-    assert family_slope(X6, family_plan(X6, 7)) == 3
-    assert family_slope(X4, family_plan(X4, 9)) == 5
-
-
-def test_family_slope_rejects_another_surface():
-    # the X6 plan has slope 3 whatever surface is passed beside it
-    with pytest.raises(SurfaceMismatch):
-        family_slope(X3, family_plan(X6, 2))
-    with pytest.raises(SurfaceMismatch):
-        family_slope(X2, family_plan(X5, 3))
+def test_every_plan_has_slope_h_squared(capsys):
+    """Each bundle of a plan is an iterated extension of O(C), O(D), O(E), O(F), all of degree H^2,
+    so its slope is H^2: the ``slope`` of the ``acm wild`` payload."""
+    for surface in WILD_SURFACES:
+        for n in range(2, 13):
+            plan = family_plan(surface, n)
+            assert [degree(X) for X in plan.pair] == [surface.degree] * 4
+            assert {step.quotient for step in plan.schedule} <= set(plan.pair)
+            assert cli.main(["wild", surface.name, "--rank", str(n), "--format", "json"]) == 0
+            assert json.loads(capsys.readouterr().out)["slope"] == surface.degree
 
 
 # --- 0-regularity -----------------------------------------------------------------------
