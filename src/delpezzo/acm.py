@@ -8,7 +8,7 @@ every t, which ``geometry.cohomology`` computes exactly.  Enumeration is
 served per degree: :func:`orbits_of_degree` scans the coefficient box that
 the Hodge index theorem proves to hold every solution, as sorted tails with
 the lead that gives the degree, and caches each hit as one S_r-orbit record
-for the degree table, the positivity rows and ``acm verify``;
+for the degree table, the golden orbit counts and ``acm verify``;
 :func:`coefficients_of_degree`, uncached, expands them into coefficient
 tuples for the lines, the golden text and the wild pairs.  The closed-form
 catalog regenerates the records from the listed rows, an independent oracle.

@@ -3,19 +3,18 @@
 Covers: the lines, labelled, which are the ACM classes of degree 1;
 effectivity and smooth members without line components (one Zariski round
 on the lines, whose moving part must be nef and, for a smooth member, equal
-to the class) and very-ampleness, read off sign tests against the lines and
-conics, the ACM classes of degree 1 and 2, one row per orbit representative
-under permuting e_1..e_r; and the exact cohomology h^0, h^1, h^2 of any
-class, from that round and Serre duality.
+to the class) and very-ampleness, both read off the least product with a
+generator of the effective cone, found by one walk into the dominant Weyl
+chamber; and the exact cohomology h^0, h^1, h^2 of any class, from that
+round and Serre duality.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from operator import mul
 
-from .acm import coefficients_of_degree, orbits_of_degree
+from .acm import coefficients_of_degree
 from .errors import InternalError, UnsupportedSurface
 from .picard import BLOWUP, DivisorClass, SurfaceModel, canonical_class, degree, euler_characteristic
 
@@ -47,36 +46,32 @@ def enumerate_lines(surface: SurfaceModel) -> tuple[LineClass, ...]:
 
 
 # ---------------------------------------------------------------------------
-# positivity, read off the low-degree ACM classes
+# positivity, read off the dominant Weyl chamber
 
 
-def _orbit_row(surface: SurfaceModel, N: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    """(N.u_0, the other N.u_i sorted descending), N.u_j = sum of G_ij N_i in one pass over the Gram entries."""
-    row = [0] * surface.rank
-    for i, j, value in surface.gram:
-        row[j] += value * N[i]
-    return row[0], tuple(sorted(row[1:], reverse=True))
+def least_product(D: DivisorClass) -> int:
+    """The least D.N over the generators N of the effective cone: l on X0, e1 and l-e1 on X1, h and m on Q, the
+    lines for r >= 2 (Manin, Cubic Forms, par. 26).  So D is nef iff this is >= 0.
 
-
-@lru_cache(maxsize=None)
-def _orbit_rows(surface: SurfaceModel) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """The row of the scan's representative N of each S_r-orbit of lines and conics, the ACM classes of degree
-    1 and 2: distinct, as G is invertible."""
-    return tuple(_orbit_row(surface, N) for c in (1, 2) for N, _, _ in orbits_of_degree(surface, c))
-
-
-def orbit_minima(D: DivisorClass):
-    """The least D.N over each tail-permutation orbit of lines and conics N.
-
-    One row per orbit suffices: permuting e_1..e_r preserves the pairing, H
-    and the ACM criterion, so the rows (N.l, N.e_1, ..., N.e_r) are closed
-    under permuting their tails, and over an orbit the least product pairs
-    D's ascending tail with the row's descending one (rearrangement inequality).
-    On the quadric the tail is the single entry N.m, so each row is one class.
+    For r >= 3 it walks D into the dominant chamber of W(E_r), generated by the reflections D + (D.a)a in the
+    simple roots a = e_i - e_{i+1} (sorting the tail ascending) and l-e1-e2-e3 (Manin, par. 23-26):
+    1. Each reflection s_a applies where D.a < 0; s_a negates a and permutes the other positive roots, so the
+       walk takes at most |Phi+| = 4, 10, 20 or 36 of them on X3..X6, whatever the size of the coefficients.
+    2. W preserves the pairing and K, so it permutes the lines: the least D.L is the same along the walk.
+    3. On a dominant D (D.a >= 0 for every simple a), every L - e_r is a nonnegative sum of simple roots, so the
+       least D.L is D.e_r = -c_r.
     """
-    head, *tail = D.coeffs
+    if D.surface.kind != BLOWUP:
+        return min(D.coeffs)  # D.m and D.h
+    a, *tail = D.coeffs
+    if D.surface.r <= 2:
+        return min([a + sum(tail)] + [-c for c in tail])
     tail.sort()
-    return (head * n_0 + sum(map(mul, tail, n_tail)) for n_0, n_tail in _orbit_rows(D.surface))
+    while (m := a + tail[0] + tail[1] + tail[2]) < 0:
+        a += m
+        tail[:3] = [c - m for c in tail[:3]]
+        tail.sort()
+    return -tail[-1]
 
 
 def moving_part(D: DivisorClass) -> DivisorClass | None:
@@ -88,10 +83,8 @@ def moving_part(D: DivisorClass) -> DivisorClass | None:
     matrix [[-1, 1], [1, -1]]), with coefficients -D.L_j fixed by P.L_j = 0;
     a line with D.L < 0 has N.L < 0, so lies in N.  If P is nef, h^2(P) = 0
     ((K - P).H < 0) and chi(P) = (P^2 + P.H)/2 + 1 >= 1, so P and D are
-    effective.  Nef is D.N >= 0 on the ACM classes of degree 1 and 2: the
-    lines span the effective cone for r >= 2 (Manin, Cubic Forms, par. 26),
-    e1 and l-e1 on X1, h and m on Q; on X0 the degree test decides (D.H < 0,
-    or D.H = 0 with D != 0, is never effective as H is ample).
+    effective.  Nef is least_product >= 0; on X0 the degree test decides
+    (D.H < 0, or D.H = 0 with D != 0, is never effective as H is ample).
 
     A nonzero effective D has smooth members with no (-1)-line as a
     component exactly when P == D, i.e. D meets every line nonnegatively;
@@ -102,7 +95,7 @@ def moving_part(D: DivisorClass) -> DivisorClass | None:
     d_h = degree(D)
     if d_h < 0 or (d_h == 0 and not D.is_zero):
         return None
-    if all(m >= 0 for m in orbit_minima(D)):
+    if least_product(D) >= 0:
         return D
     surface, p = D.surface, D.coeffs
     for L in enumerate_lines(surface):
@@ -110,7 +103,7 @@ def moving_part(D: DivisorClass) -> DivisorClass | None:
         if k < 0:
             p = tuple(x + k * y for x, y in zip(p, L.divisor.coeffs))
     P = DivisorClass(surface, p)
-    return P if all(m >= 0 for m in orbit_minima(P)) else None
+    return P if least_product(P) >= 0 else None
 
 
 def is_effective(D: DivisorClass) -> bool:
@@ -120,13 +113,13 @@ def is_effective(D: DivisorClass) -> bool:
 
 def is_very_ample(D: DivisorClass) -> bool:
     """D.N > 0 for the lines and conics (blow-ups of 1..6 points): e1 and l-e1
-    on X1; for r >= 2 each conic is a sum of two lines."""
+    on X1; for r >= 2 each conic is a sum of two lines.  So least_product(D) > 0."""
     surface = D.surface
     if surface.kind != BLOWUP or surface.r == 0:
         raise UnsupportedSurface(
             f"the very-ampleness criterion is stated only for blow-ups of 1..6 points, not {surface}"
         )
-    return all(m > 0 for m in orbit_minima(D))
+    return least_product(D) > 0
 
 
 def _h0(D: DivisorClass) -> int:

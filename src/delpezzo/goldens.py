@@ -21,7 +21,7 @@ from .acm import (
     degree_count_table,
     orbits_of_degree,
 )
-from .geometry import enumerate_lines, is_effective, orbit_minima
+from .geometry import enumerate_lines, is_effective, least_product
 from .picard import (
     SURFACE_NAMES,
     DivisorClass,
@@ -85,7 +85,7 @@ def _check_invariants(surface: SurfaceModel) -> list[str]:
             failures.append(f"{surface.name} {format_divisor(D)}: degree out of range")
         if not D.is_zero and not is_effective(D):
             failures.append(f"{surface.name} {format_divisor(D)}: not effective")
-        if any(m < 0 for m in orbit_minima(D)):  # some line or conic meets D negatively
+        if least_product(D) < 0:  # otherwise every line, a generator, meets D nonnegatively
             for L in lines:
                 prod = intersect(D, L.divisor)
                 if prod < -1 or (prod == -1 and D != L.divisor):

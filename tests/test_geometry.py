@@ -26,16 +26,8 @@ from delpezzo import (
     zero_class,
 )
 from delpezzo import geometry
-from delpezzo.acm import enumerate_acm, orbits_of_degree
-from delpezzo.geometry import (
-    _orbit_row,
-    _orbit_rows,
-    cohomology,
-    enumerate_lines,
-    is_effective,
-    is_very_ample,
-    orbit_minima,
-)
+from delpezzo.acm import enumerate_acm
+from delpezzo.geometry import cohomology, enumerate_lines, is_effective, is_very_ample, least_product
 
 from paper_values import (
     LINE_COUNTS,
@@ -312,46 +304,14 @@ def test_low_degree_acm_classes():
         assert all(intersect(N, L) >= 0 for N in nef_rays for L in lines)
 
 
-# --- positivity per orbit, against the former test on every row -------------------
+# --- positivity by the chamber walk, against the former test on every row ----------
 
 
 @functools.lru_cache(maxsize=None)
 def former_pairing_rows(surface, degrees):
     """(N.u for u in the basis) for every ACM class N of the given degrees:
-    the rows the positivity tests read before they read one per orbit."""
+    the rows the positivity tests read before they read one row per S_r-orbit, then the chamber walk."""
     return [tuple(intersect(N, u) for u in units(surface)) for c in degrees for N in classes_of_degree(surface, c)]
-
-
-def orbit_rows_of(surface, degrees):
-    """The package's rows of the orbit records of these degrees: ``_orbit_rows``, uncached, for the lines and
-    conics (degrees 1 and 2), which the positivity tests read, and ``_orbit_row`` of each record otherwise."""
-    if degrees == (1, 2):
-        return _orbit_rows.__wrapped__(surface)
-    return tuple(_orbit_row(surface, N) for c in degrees for N, _, _ in orbits_of_degree(surface, c))
-
-
-@pytest.mark.parametrize("surface", ALL_SURFACES, ids=str)
-def test_orbit_rows_are_the_deduplicated_former_rows(surface):
-    """One row per orbit representative equals the former rows of every
-    class, each tail sorted descending, duplicates dropped in order: for
-    each degree 0..H^2, the lines and conics, and the former cubic rows."""
-    for degrees in [(c,) for c in range(surface.degree + 1)] + [(1, 2), (2, 3)]:
-        former = [(row[0], tuple(sorted(row[1:], reverse=True))) for row in former_pairing_rows(surface, degrees)]
-        assert orbit_rows_of(surface, degrees) == tuple(dict.fromkeys(former)), degrees
-    assert _orbit_rows(surface) == orbit_rows_of(surface, (1, 2))
-
-
-def per_unit_orbit_rows(surface, degrees):
-    """The former orbit rows, kept as the oracle: one ``pair`` call per basis class."""
-    basis = [u.coeffs for u in units(surface)]
-    rows = ([surface.pair(N, u) for u in basis] for c in degrees for N, _, _ in orbits_of_degree(surface, c))
-    return tuple((row[0], tuple(sorted(row[1:], reverse=True))) for row in rows)
-
-
-@pytest.mark.parametrize("surface", ALL_SURFACES, ids=str)
-@pytest.mark.parametrize("degrees", [(1,), (1, 2), (2, 3)], ids=str)
-def test_orbit_rows_equal_the_per_unit_pair_rows(surface, degrees):
-    assert orbit_rows_of(surface, degrees) == per_unit_orbit_rows(surface, degrees)
 
 
 def former_products(D, degrees):
@@ -371,17 +331,15 @@ def positivity_box(surface):
 
 
 @pytest.mark.parametrize("surface", ALL_SURFACES, ids=str)
-def test_positivity_agrees_with_the_former_full_rows(surface, monkeypatch):
-    """orbit_minima on the lines and conics, and on the rows of the lines alone and of the
-    former cubic test, patched in, is the least product over every class of those degrees."""
+def test_positivity_agrees_with_the_former_full_rows(surface):
+    """least_product is the least product over every class of the generators' degrees: the lines for r >= 2,
+    the lines and conics on X1, the conics on Q; on X0 it is D.H/3, the product with l."""
     sample = positivity_box(surface)
-    for degrees in ((2, 3), (1, 2), (1,)):
-        with monkeypatch.context() as patch:
-            if degrees != (1, 2):
-                patch.setattr(geometry, "_orbit_rows", lambda s: orbit_rows_of(s, degrees))
-            assert [min(orbit_minima(D), default=None) for D in sample] == [
-                min(former_products(D, degrees), default=None) for D in sample
-            ]
+    if surface.name == "X0":
+        assert [3 * least_product(D) for D in sample] == [degree(D) for D in sample]
+    else:
+        degrees = {"X1": (1, 2), "Q": (2,)}.get(surface.name, (1,))
+        assert [least_product(D) for D in sample] == [min(former_products(D, degrees)) for D in sample]
     effective = [is_effective(D) for D in sample]
     assert effective == [all(p >= 0 for p in former_products(D, (2, 3))) for D in sample]
     assert any(effective) and not all(effective)
@@ -395,6 +353,40 @@ def test_positivity_agrees_with_the_former_full_rows(surface, monkeypatch):
         else:
             with pytest.raises(PreconditionViolated):
                 has_smooth_nonline_member(D)
+
+
+def simple_root_coefficients(v):
+    """(n_0, n_1, ..., n_{r-1}) with v = n_0 (l-e1-e2-e3) + sum n_i (e_i - e_{i+1}), by a triangular solve:
+    the l-coefficient gives n_0, then the e_k-coefficient c_k = n_k - [k > 1] n_{k-1} - [k <= 3] n_0 gives n_k."""
+    a, *c = v
+    n = [a]
+    for k in range(1, len(c) + 1):
+        n.append(c[k - 1] + (n[k - 1] if k > 1 else 0) + (a if k <= 3 else 0))
+    assert n.pop() == 0, v  # the e_r-coefficient closes the system: there is no root e_r - e_{r+1}
+    return n
+
+
+@pytest.mark.parametrize("r", [3, 4, 5, 6])
+def test_every_line_minus_e_r_is_a_nonnegative_sum_of_simple_roots(r):
+    """Step 3 of least_product's argument: on a dominant class every line meets it at least as much as e_r."""
+    surface = blow_up(r)
+    roots = [parse_divisor(surface, "l-e1-e2-e3")] + [parse_divisor(surface, f"e{i}-e{i + 1}") for i in range(1, r)]
+    e_r = parse_divisor(surface, f"e{r}")
+    for L in enumerate_lines(surface):
+        n = simple_root_coefficients((L.divisor - e_r).coeffs)
+        assert sum((k * alpha for k, alpha in zip(n, roots)), zero_class(surface)) == L.divisor - e_r
+        assert min(n) >= 0, L.label
+
+
+@given(data=st.data())
+def test_least_product_is_invariant_under_the_simple_reflections(data):
+    surface = data.draw(st.sampled_from([blow_up(r) for r in range(3, 7)]), label="surface")
+    scale = data.draw(st.sampled_from([1, 10**100]), label="scale")
+    a, *tail = (scale * x for x in data.draw(st.tuples(*[st.integers(-9, 9)] * surface.rank)))
+    D = divisor(surface, a, *tail)
+    alpha = parse_divisor(surface, "l-e1-e2-e3")
+    permuted = divisor(surface, a, *data.draw(st.permutations(tail), label="tail"))
+    assert least_product(D) == least_product(permuted) == least_product(D + intersect(D, alpha) * alpha)
 
 
 def expected_fixed_part(D):
@@ -427,28 +419,6 @@ def test_moving_part_is_the_zariski_decomposition_on_the_box(surface):
             assert has_smooth_nonline_member(D) == (P == D)
     assert effective > 0
     assert (with_fixed_part > 0) == (surface.kind == "blowup" and surface.r >= 1)  # X0 and Q have no lines
-
-
-# orbit rows of the ACM classes of degree 2 and 3 (the former dual-cone effectivity test, kept as an
-# oracle), 1 and 2 (the rows of orbit_minima: the nef test of moving_part, is_very_ample and the line
-# check of verify) and 1 (the lines alone), up to permuting e_1..e_r
-ORBIT_ROWS = {
-    "X0": (1, 0, 0),
-    "X1": (2, 2, 1),
-    "X2": (2, 3, 2),
-    "X3": (3, 3, 2),
-    "X4": (4, 4, 2),
-    "X5": (5, 5, 3),
-    "X6": (8, 6, 3),
-    "Q": (2, 2, 0),
-}
-
-
-@pytest.mark.parametrize("surface", ALL_SURFACES, ids=str)
-def test_orbit_row_counts(surface):
-    counts = tuple(len(orbit_rows_of(surface, degrees)) for degrees in ((2, 3), (1, 2), (1,)))
-    assert counts == ORBIT_ROWS[surface.name]
-    assert len(list(orbit_minima(hyperplane(surface)))) == ORBIT_ROWS[surface.name][1]
 
 
 @given(data=st.data())
