@@ -206,15 +206,6 @@ def test_distinct_permutations_are_sorted_and_complete(t):
     assert list(acm._distinct_permutations(t)) == sorted(set(itertools.permutations(t)))
 
 
-@pytest.mark.parametrize("surface", ALL_SURFACES, ids=str)
-def test_coefficients_of_degree_are_the_classes_coefficients(surface):
-    catalog = enumerate_acm(surface)
-    for c in range(-1, surface.degree + 2):
-        coeffs = acm.coefficients_of_degree(surface, c)
-        assert coeffs == [D.coeffs for D in catalog if degree(D) == c], c
-        assert all(type(v) is tuple for v in coeffs)
-
-
 # --- Weyl-group orbits: a third oracle for the catalog -----------------------------
 
 

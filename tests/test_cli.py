@@ -147,6 +147,35 @@ def test_classify_help_still_prints(capsys):
     assert "usage: acm classify" in capsys.readouterr().out
 
 
+HELP_TEXTS = {  # argv before --help -> what the help shows, as substrings with runs of whitespace collapsed
+    (): [
+        "usage: acm",
+        "{lines,classify,table,wild,verify}",
+        "lines enumerate the (-1)-lines of a surface",
+        "classify numerical report for a divisor class",
+        "table per-degree counts of ACM classes",
+        "wild wild pair and rank-n family plan",
+        "verify regression-check enumeration against golden files",
+    ],
+    ("lines",): ["usage: acm lines", "--format {text,json}", "surface"],
+    ("classify",): ["usage: acm classify", "--format {text,json}", "surface divisor"],
+    ("table",): ["usage: acm table", "--format {text,json}", "surface a surface name or 'all'"],
+    ("wild",): ["usage: acm wild", "--format {text,json}", "--rank RANK", "surface"],
+    ("verify",): ["usage: acm verify", "--format {text,json}", "--golden GOLDEN directory of golden .tsv files"],
+}
+
+
+@pytest.mark.parametrize("argv", HELP_TEXTS, ids=lambda argv: " ".join(("acm",) + argv))
+def test_help_lists_every_command_and_option(argv, capsys):
+    """Substrings only: the section headings of argparse differ between Python 3.10 and 3.11+."""
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    assert exc.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())
+    missing = [text for text in HELP_TEXTS[argv] if text not in out]
+    assert missing == [], out
+
+
 def test_classify_na_fields_in_text(capsys):
     code, out, err = run(capsys, "classify", "P2", "l")
     assert code == 0

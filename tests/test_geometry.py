@@ -141,7 +141,7 @@ def test_effectivity_monoid_cases():
 @pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
 @given(data=st.data())
 def test_effectivity_lemma_consistency(r, data):
-    # any class with D^2 = D.H - 2 and D.H > 0 must pass the cone search
+    # D^2 = D.H - 2 and D.H > 0 give chi(D) = D.H > 0 and h^2(D) = h^0(K - D) = 0, so D is effective
     surface = blow_up(r)
     a = data.draw(st.integers(0, 5))
     b = data.draw(st.tuples(*([st.integers(-1, 3)] * r)))
@@ -236,7 +236,7 @@ def test_effectivity_beyond_the_search():
         assert not is_effective(D)
 
 
-# --- the former rule, nef reduction, as an oracle for larger classes --------------
+# --- the former rules on the boundary band, beyond the line-monoid search -------------
 
 
 def former_cone_generators(surface):
@@ -249,32 +249,12 @@ def former_cone_generators(surface):
     return tuple(L.divisor for L in enumerate_lines(surface))
 
 
-def nef_reduction(D):
-    """Effectivity by nef reduction, on coefficient vectors: while a generator
-    N with N^2 < 0 has D.N = -k < 0, subtract the fixed component kN; then D
-    is effective iff deg D >= 0 and it meets every generator nonnegatively.
-    Each step removes one line, so the cost grows linearly with the
-    coefficients."""
-    surface = D.surface
-    generators = [G.coeffs for G in former_cone_generators(surface)]
-    c = D.coeffs
-    while sum(map(mul, c, surface.degree_vector)) >= 0:
-        for N in generators:
-            k = -surface.pair(c, N)
-            if k > 0 and surface.pair(N, N) < 0:
-                c = tuple(x - k * n for x, n in zip(c, N))
-                break
-        else:
-            return all(surface.pair(c, G) >= 0 for G in generators)
-    return False
-
-
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])
 def test_effectivity_and_very_ampleness_agree_with_the_former_rules(r):
-    """Sorted multiplicity vectors in [-4, 5] with l-coefficient in [-3, 15]
-    and degree in [-3, 9], the band along the boundary of the effective
-    cone where nef reduction takes the most steps; the line-monoid search
-    reaches l-coefficient 8 - r only."""
+    """The former dual-cone rule (D.N >= 0 for the conics and twisted cubics, which generate the nef cone) and
+    the very-ample rule (D.G > 0 for every generator G of the effective cone), on sorted multiplicity vectors
+    in [-4, 5] with l-coefficient in [-3, 15] and degree in [-3, 9]: the band along the boundary of the
+    effective cone, beyond the l-coefficient 8 - r that the line-monoid search reaches."""
     surface = blow_up(r)
     sample = [
         from_multiplicities(surface, a, b)
@@ -283,7 +263,7 @@ def test_effectivity_and_very_ampleness_agree_with_the_former_rules(r):
         if -3 <= 3 * a - sum(b) <= 9
     ]
     verdicts = [is_effective(D) for D in sample]
-    assert verdicts == [nef_reduction(D) for D in sample]
+    assert verdicts == [all(p >= 0 for p in former_products(D, (2, 3))) for D in sample]
     assert any(verdicts) and not all(verdicts)
     generators = former_cone_generators(surface)  # e1 and l-e1 on X1, the lines for r >= 2
     ample = [is_very_ample(D) for D in sample]
@@ -293,7 +273,7 @@ def test_effectivity_and_very_ampleness_agree_with_the_former_rules(r):
 
 def test_low_degree_acm_classes():
     """Lines are the ACM classes of degree 1; the conics and twisted cubics
-    (degrees 2 and 3), the rows of the former dual-cone effectivity test, are nef."""
+    (degrees 2 and 3), which generate the nef cone, are nef."""
     counts = {"X0": 1, "X1": 2, "X2": 3, "X3": 5, "X4": 10, "X5": 26, "X6": 99, "Q": 2}
     for surface in ALL_SURFACES:
         catalog = enumerate_acm(surface)
@@ -315,8 +295,8 @@ def former_pairing_rows(surface, degrees):
 
 
 def former_products(D, degrees):
-    """D.N for every ACM class N of the given degrees, one dot product per row."""
-    return [sum(map(mul, D.coeffs, row)) for row in former_pairing_rows(D.surface, degrees)]
+    """D.N for every ACM class N of the given degrees, one dot product per row, as they are read."""
+    return (sum(map(mul, D.coeffs, row)) for row in former_pairing_rows(D.surface, degrees))
 
 
 def positivity_box(surface):
@@ -665,6 +645,9 @@ def test_decompose_reconstruction(r, data):
     assert dec.alphas[-1] == intersect(D, dec.exceptional[-1])
     if r >= 5:
         assert dec.alphas[0] >= 0
+    else:  # the standard frame, sorted by non-increasing multiplicity D.e_i, ties in index order
+        assert dec.line_class == units(surface)[0]
+        assert dec.permutation == tuple(sorted(range(1, r + 1), key=lambda i: (-intersect(D, units(surface)[i]), i)))
 
 
 def test_decompose_out_of_scope():
@@ -688,38 +671,6 @@ def former_complete_disjoint(chosen, pool, want):
             if found is not None:
                 return found
     return None
-
-
-def former_decompose(D):
-    """(exceptional, alphas) of the former decompose, which completed the two
-    minimising lines on X5, X6 with the depth-first search."""
-    surface = D.surface
-    r = surface.r
-    if r <= 4:
-        standard = units(surface)[1:]
-        frame = tuple(standard[i] for i in sorted(range(r), key=lambda i: (-intersect(D, standard[i]), i)))
-    else:
-        lines = [L.divisor for L in enumerate_lines(surface)]
-        last = min(lines, key=lambda L: intersect(D, L))
-        second = min((L for L in lines if L != last and intersect(L, last) == 0), key=lambda L: intersect(D, L))
-        completion = former_complete_disjoint([last, second], [L for L in lines if L not in (last, second)], r)
-        others = sorted(completion[2:], key=lambda L: (-intersect(D, L), lines.index(L)))
-        frame = tuple(others) + (second, last)
-    total = sum(frame, hyperplane(surface))  # 3l' = H + sum(e_i')
-    a = intersect(D, divisor(surface, *(c // 3 for c in total.coeffs)))
-    b = [intersect(D, ec) for ec in frame]
-    tail = tuple(b[i] - b[i + 1] for i in range(r - 1)) + (b[r - 1],)
-    return frame, (a - sum(map(mul, (1, 2, 2, 2, 3, 3), tail)),) + tail
-
-
-@pytest.mark.parametrize("r", sorted(CUBIC_COUNTS))
-def test_decompose_agrees_with_the_former_frame_search(r):
-    surface = blow_up(r)
-    rng = random.Random(r)
-    for _ in range(2000):
-        D = divisor(surface, *(rng.randint(-10, 10) for _ in range(surface.rank)))
-        dec = decompose(D)
-        assert (dec.exceptional, dec.alphas) == former_decompose(D), D
 
 
 @pytest.mark.parametrize("r", sorted(CUBIC_COUNTS))

@@ -11,7 +11,6 @@ from delpezzo import (
     SURFACE_NAMES,
     DivisorClass,
     degree,
-    format_divisor,
     goldens,
     parse_divisor,
     surface_from_name,
@@ -50,20 +49,6 @@ def test_orbit_column_counts_distinct_tail_permutations(name):
         assert int(line.split("\t")[2]) == len(set(itertools.permutations(D.coeffs[1:])))
 
 
-def former_golden_lines(surface):
-    """The former golden text, kept as the oracle: each class of the
-    enumeration formatted with ``format_divisor``, with its record's size."""
-    records = [record for c in range(surface.degree + 1) for record in orbits_of_degree(surface, c)]
-    classes = iter(enumerate_acm(surface))
-    return [f"{c}\t{format_divisor(D)}\t{n}" for _, c, n in records for D in itertools.islice(classes, n)]
-
-
-@pytest.mark.parametrize("name", SURFACE_NAMES)
-def test_golden_lines_equal_the_former_class_formatting(name):
-    surface = surface_from_name(name)
-    assert golden_lines(surface) == former_golden_lines(surface)
-
-
 def test_golden_lines_build_no_class(monkeypatch):
     surfaces = [surface_from_name(name) for name in SURFACE_NAMES]  # a surface model builds its K and H
     built = []
@@ -91,6 +76,21 @@ def test_write_golden_dir_reproduces_shipped_goldens(tmp_path):
     assert sorted(path.name for path in tmp_path.iterdir()) == [path.name for path in shipped]
     for path in shipped:
         assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+def test_a_golden_file_that_ends_early_or_late_fails(tmp_path):
+    """The diff runs to the end of the longer of the file and the enumeration."""
+    write_golden_dir(tmp_path)
+    target = tmp_path / "X3.tsv"
+    lines = target.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 29 and lines[-1].startswith("6\t")
+    for edited, failure in (
+        (lines[:-1], f"X3 d=6: golden line 29 is None, enumeration gives {lines[-1]!r}"),
+        (lines + lines[-1:], f"X3 d=6: golden line 30 is {lines[-1]!r}, enumeration gives None"),
+    ):
+        target.write_text("\n".join(edited) + "\n", encoding="utf-8")
+        ok, report = run_verification(tmp_path)
+        assert not ok and failure in report, report
 
 
 def test_run_verification_rejects_a_bad_golden_dir(tmp_path):

@@ -10,6 +10,8 @@ imported with ``from . import m``.  Module-level statements that define
 nothing run at import, so the names they mention are roots as well.  The
 graph is read with ``ast``; nothing is imported.  Code that only the tests
 reach belongs in the tests (``tests/paper_values.py``), not in the package.
+Under ``tests/`` every top-level helper must be used by another statement, so
+a retired test leaves no orphaned oracle or sample behind.
 """
 
 import ast
@@ -19,12 +21,13 @@ from test_tracer_contract import traced_names
 
 ROOT = Path(__file__).parent.parent
 PACKAGE = "delpezzo"
+PACKAGE_DIR = ROOT / "src" / PACKAGE
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Assign, ast.AnnAssign)
 
 
-def package_sources():
-    """{module: source} for each module of the package, ``__init__`` included."""
-    return {path.stem: path.read_text(encoding="utf-8") for path in sorted((ROOT / "src" / PACKAGE).glob("*.py"))}
+def module_sources(directory):
+    """{module: source} for each module in ``directory``, ``__init__`` included."""
+    return {path.stem: path.read_text(encoding="utf-8") for path in sorted(directory.glob("*.py"))}
 
 
 def defined_names(node):
@@ -120,7 +123,7 @@ def external_roots():
 
 
 def test_the_roots_resolve_to_definitions():
-    graph = Graph(package_sources())
+    graph = Graph(module_sources(PACKAGE_DIR))
     assert graph.resolve("cli", "main") == ("cli", "main")
     assert graph.resolve("__init__", "parse_divisor") == ("picard", "parse_divisor")
     assert "DivisorClass" in graph.all_names
@@ -131,11 +134,55 @@ def test_the_roots_resolve_to_definitions():
 
 
 def test_every_definition_is_reached_from_a_user_path():
-    assert Graph(package_sources()).unreachable(external_roots()) == []
+    assert Graph(module_sources(PACKAGE_DIR)).unreachable(external_roots()) == []
+
+
+def unused_test_helpers(sources):
+    """(module, name) for each top-level helper under ``tests/`` that no other statement there mentions.
+
+    A helper is a top-level definition other than a ``test_*`` function, a fixture and a ``pytest_*``
+    conftest hook.  A statement mentions it by its bare name in its own module or in a module that
+    imports it with ``from module import name``, the one way the tests share helpers.  Imports
+    themselves are no mention, and neither is the helper's own definition (a recursive call).
+    """
+    helpers, mentions = {}, set()  # (module, name) -> its statement; (module, name, mentioning statement)
+    for module, source in sources.items():
+        body = ast.parse(source).body
+        imported = {  # local name -> the (module, name) it denotes
+            alias.asname or alias.name: (node.module, alias.name)
+            for node in body
+            if isinstance(node, ast.ImportFrom) and node.module in sources
+            for alias in node.names
+        }
+        for k, node in enumerate(body):
+            statement = module, k
+            if isinstance(node, DEFINITIONS):
+                fixture = any("fixture" in ast.unparse(d) for d in getattr(node, "decorator_list", []))
+                for name in defined_names(node):
+                    if not (name.startswith(("test_", "pytest_")) or fixture):
+                        helpers[module, name] = statement
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    mentions.add(imported.get(sub.id, (module, sub.id)) + (statement,))
+    used = {(module, name) for module, name, statement in mentions if helpers.get((module, name)) not in (None, statement)}
+    return sorted(set(helpers) - used)
+
+
+def test_every_test_helper_is_used_by_another_statement():
+    """A retired test leaves no orphaned oracle or sample behind; a planted one is reported."""
+    tests = module_sources(ROOT / "tests")
+    assert unused_test_helpers(tests) == []
+    tests["test_geometry"] += "\n\ndef orphan(D):\n    return orphan(D)\n\n\nORPHAN_BOX = range(3)\n"
+    tests["paper_values"] += "\n\ndef imported_only(D):\n    return D\n"
+    tests["test_wild"] += "\nfrom paper_values import imported_only\n"
+    found = set(unused_test_helpers(tests))
+    assert found == {("test_geometry", "orphan"), ("test_geometry", "ORPHAN_BOX"), ("paper_values", "imported_only")}
 
 
 def test_a_planted_definition_is_reported():
-    sources = package_sources()
+    sources = module_sources(PACKAGE_DIR)
     before = set(Graph(sources).unreachable(external_roots()))
     sources["geometry"] += "\n\ndef planted(D):\n    return _helper(D)\n\n\ndef _helper(D):\n    return moving_part(D)\n"
     sources["wild"] += "\n\nPLANTED = RELATIONS\n"

@@ -32,7 +32,6 @@ from delpezzo.wild import (
 
 from paper_values import (
     WILD_TABLE,
-    classes_of_degree,
     ext1_closed_form,
     ext1_dimension_vs_rank2,
     h2_twist_minus_2,
@@ -191,28 +190,13 @@ def test_paper_pairs_are_found(surface):
     assert find_wild_pair(surface) == hits[0]
 
 
-def former_wild_pairs(surface):
-    """The former search, kept as the oracle: every ordered pair of distinct
-    classes of ``classes_of_degree`` at the maximal degree with C.D = 1 + d."""
-    n, two_h = surface.degree, 2 * hyperplane(surface)
-    maximal = classes_of_degree(surface, n)
-    return [
-        wild.WildPair(C, D, two_h - C, two_h - D)
-        for C in maximal
-        for D in maximal
-        if C != D and intersect(C, D) == 1 + n
-    ]
-
-
-@pytest.mark.parametrize("surface", WILD_SURFACES, ids=str)
-def test_wild_pairs_equal_the_former_class_search(surface):
-    assert find_wild_pairs(surface) == former_wild_pairs(surface)
-
-
 @pytest.mark.parametrize("surface", WILD_SURFACES, ids=str)
 def test_every_pair_satisfies_the_relation_block(surface):
     hits = find_wild_pairs(surface)
     assert hits
+    position = {D: k for k, D in enumerate(D for D in enumerate_acm(surface) if degree(D) == surface.degree)}
+    keys = [(position[pair.C], position[pair.D]) for pair in hits]
+    assert keys == sorted(set(keys))  # distinct, in the canonical order of (C, D)
     for pair in hits:
         assert pair.relation_block() == (3, 3, 2, 2, 0, 0)
         assert len({pair.C, pair.D, pair.E, pair.F}) == 4
@@ -243,46 +227,28 @@ def test_family_plan_shapes():
 
 @pytest.mark.parametrize("surface", WILD_SURFACES, ids=str)
 def test_family_dimensions_up_to_rank_50(surface):
-    for n in range(2, 51):
-        plan = family_plan(surface, n)
-        assert plan.rank == n
-        assert plan.param_dim >= n - 1
-        if n == 2:
-            assert plan.param_dim == 2
-        elif n % 2 == 1:
-            m = (n - 1) // 2
-            assert plan.param_dim == 2 * m
-        else:
-            m = (n - 2) // 2
-            assert plan.param_dim == 3 * m + 1
-
-
-def former_family_plan(surface, n):
-    """(rank, shape, m, param_dim, schedule) of the plan as the helpers computed
-    it before family_plan read the relation block."""
+    """The closed forms of every plan of rank 2..50: param_dim >= n - 1, the shape, m, and each
+    extension step's sub, quotient, dim Ext^1 and repeat count, on the first wild pair."""
     pair = find_wild_pair(surface)
     C, D, E, F = pair
-    if n == 2:
-        ext_ce = ext1_dimension(C, E)
-        return 2, "rank2", None, ext_ce - 1, ((f"O({E})", C, ext_ce, 1),)
-    m = (n - 1) // 2
-    ext_e_block = ext1_into_rank2(E, C, D)
-    blocks = " + ".join(f"E{i + 1}" for i in range(m)) if m <= 3 else f"E1 + ... + E{m}"
-    schedule = ((f"O({C})", D, ext1_dimension(D, C), m), (blocks, E, m * ext_e_block, 1))
-    if n % 2 == 1:
-        return n, "odd", m, m * (ext_e_block - 1), schedule
-    ext_f_total = m * ext1_into_rank2(F, C, D) + ext1_dimension(E, F)
-    schedule += ((f"H (rank {2 * m + 1})", F, ext_f_total, 1),)
-    return n, "even", m, ext_f_total - 1, schedule
-
-
-@pytest.mark.parametrize("surface", WILD_SURFACES, ids=str)
-def test_family_plans_agree_with_the_former_helper_calls(surface):
     for n in range(2, 51):
         plan = family_plan(surface, n)
-        assert plan.pair == find_wild_pair(surface)
-        got = (plan.rank, plan.shape, plan.m, plan.param_dim, tuple(map(tuple, plan.schedule)))
-        assert got == former_family_plan(surface, n)
+        assert (plan.rank, plan.pair) == (n, pair)
+        assert plan.param_dim >= n - 1
+        steps = [tuple(step) for step in plan.schedule]
+        if n == 2:
+            assert (plan.shape, plan.m, plan.param_dim) == ("rank2", None, 2)
+            assert steps == [(f"O({E})", C, 3, 1)]
+            continue
+        m = (n - 1) // 2
+        blocks = {1: "E1", 2: "E1 + E2", 3: "E1 + E2 + E3"}.get(m, f"E1 + ... + E{m}")
+        odd = [(f"O({C})", D, 2, m), (blocks, E, 3 * m, 1)]
+        if n % 2 == 1:
+            assert (plan.shape, plan.m, plan.param_dim) == ("odd", m, 2 * m)
+            assert steps == odd
+        else:
+            assert (plan.shape, plan.m, plan.param_dim) == ("even", m, 3 * m + 1)
+            assert steps == odd + [(f"H (rank {2 * m + 1})", F, 3 * m + 2, 1)]
 
 
 def test_family_plan_errors():
