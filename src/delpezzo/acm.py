@@ -12,6 +12,10 @@ for the degree table, the golden orbit counts and ``acm verify``;
 :func:`coefficients_of_degree`, uncached, expands them into coefficient
 tuples for the lines, the golden text and the wild pairs.  The closed-form
 catalog regenerates the records from the listed rows, an independent oracle.
+
+The catalog order: within each degree, classes ascend by their coefficient
+tuple (a, c_1, ..., c_r) ((h, m) on the quadric); each orbit record's
+representative is its orbit's least member.
 """
 
 from __future__ import annotations
@@ -42,14 +46,8 @@ def is_acm_initialized(D: DivisorClass) -> bool:
 # enumeration
 
 
-def _writing(coeffs: tuple[int, ...]) -> tuple[int, ...]:
-    """Order key of an orbit's first member (lead, ascending tail t): its
-    canonical writing (a, -t_1, ..., -t_r), the lead then the multiplicities."""
-    return coeffs[:1] + tuple(-x for x in coeffs[1:])
-
-
 class AcmRecord(namedtuple("AcmRecord", "canonical degree orbit_count")):
-    """An S_r-orbit: the coefficient tuple of its first member (the lead, then
+    """An S_r-orbit: the coefficient tuple of its least member (the lead, then
     the tail in ascending order), its degree and its size.  The scan and the
     closed-form catalog both build records of this one shape."""
 
@@ -116,9 +114,8 @@ def orbits_of_degree(surface: SurfaceModel, c: int) -> tuple[AcmRecord, ...]:
     hits.  Every tail coefficient has the same range and weight in D.H
     (H_k = -1 and G_kk = -1 on blow-ups; the quadric's tail has one entry)
     and permuting the tail preserves the criterion, so each hit (a, t), t
-    ascending, is one orbit and its first member.  Hits are sorted by
-    :func:`_writing`.  At c = 0 only the zero class passes; outside 0..H^2
-    there are none.
+    ascending, is one orbit and its least member.  At c = 0 only the zero
+    class passes; outside 0..H^2 there are none.
     """
     if not 0 <= c <= surface.degree:
         return ()
@@ -130,22 +127,22 @@ def orbits_of_degree(surface: SurfaceModel, c: int) -> tuple[AcmRecord, ...]:
         a = leads.get(h_t * sum(t))
         if a is not None and _criterion(surface, (a,) + t):
             hits.append((a,) + t)
-    hits.sort(key=_writing)
+    hits.sort()
     return tuple(AcmRecord(h, c, orbit_size(n, h[1:])) for h in hits)
 
 
 def coefficients_of_degree(surface: SurfaceModel, c: int) -> list[tuple[int, ...]]:
-    """The coefficient tuple of every initialized ACM class of degree c, in the
-    canonical order: each orbit record, in :func:`_writing` order, expanded
-    into its distinct tail permutations, in ascending order."""
+    """The coefficient tuple of every initialized ACM class of degree c: each orbit
+    record expanded into its distinct tail permutations, in ascending order.
+    InternalError unless they strictly ascend, that is, repeat no class and keep the catalog order."""
     coeffs = [h[:1] + perm for h, _, _ in orbits_of_degree(surface, c) for perm in _distinct_permutations(h[1:])]
-    if len(set(coeffs)) != len(coeffs):
-        raise InternalError(f"duplicate classes of degree {c} enumerated on {surface}")
+    if not all(u < v for u, v in itertools.pairwise(coeffs)):
+        raise InternalError(f"classes of degree {c} on {surface} repeat or leave the catalog order")
     return coeffs
 
 
 def enumerate_acm(surface: SurfaceModel) -> list[DivisorClass]:
-    """Every initialized ACM class on the surface, in the canonical order:
+    """Every initialized ACM class on the surface, in the catalog order:
     the classes of degree 0, 1, ..., H^2 in turn."""
     return [DivisorClass(surface, v) for c in range(surface.degree + 1) for v in coefficients_of_degree(surface, c)]
 
@@ -156,14 +153,13 @@ def enumerate_acm(surface: SurfaceModel) -> list[DivisorClass]:
 
 def closed_form_catalog(surface: SurfaceModel) -> list[AcmRecord]:
     """Catalog generated directly from the explicit table rows, one record per
-    orbit under permuting the exceptional divisors, ordered by degree and then
-    :func:`_writing`, as the scan's records are.
+    orbit under permuting the exceptional divisors, in the scan's order.
 
     Blow-ups of r points: l - e1..em (m <= min(2,r)); 2l - e1..em
     (max(r-3,0) <= m <= min(5,r)); 3l - 2e1 - e2..em (max(1,r-1) <= m <= r);
     4l - 2e1 - 2e2 - 2e3 - e4..er (r >= 3); 5l - 2e1..2e6 (r = 6); plus the
     zero class and the exceptional divisors.  A row a*l - sum b_i e_i is
-    recorded as its orbit's first member, the negated multiplicities in
+    recorded as its orbit's least member, the negated multiplicities in
     ascending order, so the exceptional divisors' row is e_r.  The quadric:
     0, h + bm and bh + m for b = 0..3, eight classes, ah + bm of degree
     2(a + b), each its own orbit as the tail is the single coefficient of m.
@@ -190,7 +186,7 @@ def closed_form_catalog(surface: SurfaceModel) -> list[AcmRecord]:
             add(4, (2, 2, 2) + (1,) * (r - 3))
         if r == 6:
             add(5, (2,) * 6)
-    records.sort(key=lambda rec: (rec.degree, _writing(rec.canonical)))
+    records.sort(key=lambda rec: (rec.degree, rec.canonical))
     return records
 
 

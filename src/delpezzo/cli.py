@@ -6,9 +6,9 @@ function is the text view of one payload: it yields the text lines and reads
 nothing but the payload, so both formats show the same fields.  ``main`` is
 the only place that knows about formats and exit codes:
 
-    0  success
+    0  success, or argparse's ``--help``
     1  verification failure (the payload's ``ok`` is false)
-    2  usage, parse or I/O error (``ValueError``, ``OSError``)
+    2  usage, parse or I/O error (argparse's usage errors, ``ValueError``, ``OSError``)
     3  request outside the supported surface range (``UnsupportedSurface``,
        ``NotFound``)
     4  internal error: any other exception, a bug, reported on one line
@@ -245,12 +245,14 @@ def text_verify(p: dict) -> Iterator[str]:
 
 
 def _rank(text: str) -> int:
-    """``int``, but a rank of more than ``max_digits()`` digits reads as ``10**max_digits()``, which
-    ``wild.family_plan`` rejects by that cap: ``int`` itself refuses a rank past the int-to-str limit."""
+    """A rank written as the divisor grammar writes a coefficient: surrounding whitespace, one optional
+    sign and ASCII digits.  A rank of more than ``max_digits()`` digits reads as ``10**max_digits()``,
+    which ``wild.family_plan`` rejects by that cap: ``int`` itself refuses a rank past the int-to-str limit."""
+    match = re.fullmatch(r"\s*[+-]?([0-9]+)\s*", text)
+    if match is None:
+        raise ValueError(text)
     cap = max_digits()
-    if len(text) > cap and re.fullmatch(rf"\s*[+-]?\d{{{cap + 1},}}\s*", text):
-        return 10**cap
-    return int(text)
+    return 10**cap if len(match[1]) > cap else int(text)
 
 
 _rank.__name__ = "int"  # argparse names the type in "invalid int value"
@@ -313,12 +315,13 @@ def _divisor_behind_dashes(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_divisor_behind_dashes(sys.argv[1:] if argv is None else list(argv)))
     try:
+        args = build_parser().parse_args(_divisor_behind_dashes(sys.argv[1:] if argv is None else list(argv)))
         payload = args.func(args)
         # rendered whole before printing, so a failure while rendering prints nothing
         print(json.dumps(payload, indent=2, sort_keys=True) if args.format == "json" else "\n".join(args.view(payload)))
+    except SystemExit as exc:  # argparse has printed the help (0) or a usage error (2)
+        return exc.code
     except (UnsupportedSurface, NotFound) as exc:
         return _fail(str(exc), OUT_OF_SCOPE)
     except (ValueError, OSError) as exc:  # bad input, or a file the environment will not let us read

@@ -1,8 +1,8 @@
 """Golden-file regression format and the verification suite behind `acm verify`.
 
 One file per surface, named ``<surface>.tsv``, one line per enumerated class:
-``degree<TAB>divisor-text<TAB>orbit-count`` in the canonical enumeration
-order, the count read off the scan's record of the class's S_r-orbit.
+``degree<TAB>divisor-text<TAB>orbit-count`` in the catalog order of ``acm``,
+the count read off the scan's record of the class's S_r-orbit.
 Verification re-enumerates each surface and diffs it against the golden file,
 compares the scan's S_r-orbit records with the closed-form catalog record for
 record, and re-checks genus, degree, effectivity and the line products on

@@ -79,7 +79,7 @@ def _make_pair(C: DivisorClass, D: DivisorClass) -> WildPair:
 
 
 def _wild_pairs(surface: SurfaceModel) -> Iterator[WildPair]:
-    """Ordered pairs of distinct maximal-degree classes with C.D = 1 + d, in canonical order."""
+    """Ordered pairs of distinct maximal-degree classes with C.D = 1 + d, C then D in the catalog order."""
     n = surface.degree
     maximal = coefficients_of_degree(surface, n)
     for u in maximal:
@@ -94,7 +94,7 @@ def find_wild_pairs(surface: SurfaceModel) -> list[WildPair]:
 
 
 def find_wild_pair(surface: SurfaceModel) -> WildPair:
-    """First pair in canonical order; NotFound when the search is empty."""
+    """First pair in the catalog order of C, then D; NotFound when the search is empty."""
     pair = next(_wild_pairs(surface), None)
     if pair is None:
         raise NotFound(

@@ -46,10 +46,8 @@ ALL_SURFACES = [blow_up(r) for r in range(7)] + [Q]
 
 
 def sort_key(D):
-    """The canonical order as an oracle: degree, canonical writing (the leading
-    coefficient, then the negated tail sorted non-increasing), full vector."""
-    canonical = (D.coeffs[0],) + tuple(sorted((-c for c in D.coeffs[1:]), reverse=True))
-    return (degree(D), canonical, D.coeffs)
+    """The catalog order as an oracle: degree, then the coefficient tuple."""
+    return (degree(D), D.coeffs)
 
 
 # --- criterion -------------------------------------------------------------------
@@ -142,18 +140,30 @@ def test_orbit_records_are_the_expansion_of_the_scan(surface):
             start += rec.orbit_count
 
 
-def test_a_class_enumerated_twice_is_an_internal_error(monkeypatch):
-    """The expansion's duplicate guard: a record served twice repeats its orbit."""
+def expansion_error(monkeypatch, serve):
+    """The InternalError of expanding X3's degree-1 records as ``serve`` rearranges them."""
     records = acm.orbits_of_degree(X3, 1)
     acm.orbits_of_degree.cache_clear()
-    monkeypatch.setattr(acm, "orbits_of_degree", lambda s, c: records + records[:1])
+    monkeypatch.setattr(acm, "orbits_of_degree", lambda s, c: serve(records))
     try:
         with pytest.raises(InternalError) as info:
             acm.coefficients_of_degree(X3, 1)
-        assert str(info.value) == "duplicate classes of degree 1 enumerated on X3"
+        return str(info.value)
     finally:
         monkeypatch.undo()
         acm.orbits_of_degree.cache_clear()
+
+
+def test_a_class_enumerated_twice_is_an_internal_error(monkeypatch):
+    """The expansion's order guard: a record served twice repeats its orbit."""
+    message = expansion_error(monkeypatch, lambda records: records + records[:1])
+    assert message == "classes of degree 1 on X3 repeat or leave the catalog order"
+
+
+def test_records_served_out_of_order_are_an_internal_error(monkeypatch):
+    """The expansion's order guard: the records of e3 and l-e1-e2 served in reverse."""
+    message = expansion_error(monkeypatch, lambda records: records[::-1])
+    assert message == "classes of degree 1 on X3 repeat or leave the catalog order"
 
 
 @pytest.mark.parametrize("surface", ALL_SURFACES, ids=str)

@@ -1,6 +1,9 @@
 import itertools
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -196,7 +199,7 @@ def test_every_pair_satisfies_the_relation_block(surface):
     assert hits
     position = {D: k for k, D in enumerate(D for D in enumerate_acm(surface) if degree(D) == surface.degree)}
     keys = [(position[pair.C], position[pair.D]) for pair in hits]
-    assert keys == sorted(set(keys))  # distinct, in the canonical order of (C, D)
+    assert keys == sorted(set(keys))  # distinct, in the catalog order of (C, D)
     for pair in hits:
         assert pair.relation_block() == (3, 3, 2, 2, 0, 0)
         assert len({pair.C, pair.D, pair.E, pair.F}) == 4
@@ -286,6 +289,37 @@ def test_every_plan_has_slope_h_squared(capsys):
             assert {step.quotient for step in plan.schedule} <= set(plan.pair)
             assert cli.main(["wild", surface.name, "--rank", str(n), "--format", "json"]) == 0
             assert json.loads(capsys.readouterr().out)["slope"] == surface.degree
+
+
+FAMILY_REPORT_TO_RANK_6 = """\
+X3 (degree 6): 12 ordered pairs with C.D = 7
+  first pair: C = 3l-2e1-e2, D = 3l-e1-2e3
+  rank:dim  2:2  3:2  4:4  5:4  6:7   (slope 6 throughout)
+X4 (degree 5): 120 ordered pairs with C.D = 6
+  first pair: C = 2l-e1, D = 3l-2e2-e3-e4
+  rank:dim  2:2  3:2  4:4  5:4  6:7   (slope 5 throughout)
+X5 (degree 4): 480 ordered pairs with C.D = 5
+  first pair: C = 2l-e1-e2, D = 3l-e1-2e3-e4-e5
+  rank:dim  2:2  3:2  4:4  5:4  6:7   (slope 4 throughout)
+X6 (degree 3): 1440 ordered pairs with C.D = 4
+  first pair: C = l, D = 4l-2e1-2e2-2e3-e4-e5-e6
+  rank:dim  2:2  3:2  4:4  5:4  6:7   (slope 3 throughout)
+"""
+
+
+def test_family_report_prints_the_first_pairs_and_dimensions():
+    """scripts/family_report.py byte for byte: its first pairs are the first in the catalog order."""
+    root = Path(__file__).parent.parent
+    strict = [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning"]
+    result = subprocess.run(
+        strict + [str(root / "scripts" / "family_report.py"), "--max-rank", "6"],
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True,
+        encoding="utf-8",
+        timeout=60,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == FAMILY_REPORT_TO_RANK_6
 
 
 # --- 0-regularity -----------------------------------------------------------------------
