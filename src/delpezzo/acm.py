@@ -26,7 +26,7 @@ from collections import namedtuple
 from functools import lru_cache
 from operator import mul
 
-from .errors import InternalError, PreconditionViolated
+from .errors import InternalError
 from .picard import QUADRIC, DivisorClass, SurfaceModel
 
 def _criterion(surface: SurfaceModel, coeffs: tuple[int, ...]) -> bool:
@@ -48,17 +48,15 @@ def is_acm_initialized(D: DivisorClass) -> bool:
 
 class AcmRecord(namedtuple("AcmRecord", "canonical degree orbit_count")):
     """An S_r-orbit: the coefficient tuple of its least member (the lead, then
-    the tail in ascending order), its degree and its size.  The scan and the
-    closed-form catalog both build records of this one shape."""
+    the tail in ascending order), its degree and its size.  The scan counts the
+    size with :func:`orbit_size`; the closed-form catalog states it per row."""
 
     __slots__ = ()
 
 
-def orbit_size(r: int, b: tuple[int, ...]) -> int:
-    """Distinct vectors obtainable by permuting b: r! over a factorial per run of sorted b."""
-    if len(b) != r:
-        raise PreconditionViolated(f"b has length {len(b)}, not r = {r}")
-    count = math.factorial(r)
+def orbit_size(b: tuple[int, ...]) -> int:
+    """Distinct vectors obtainable by permuting b: len(b)! over a factorial per run of sorted b."""
+    count = math.factorial(len(b))
     for _, run in itertools.groupby(sorted(b)):
         count //= math.factorial(len(list(run)))
     return count
@@ -128,7 +126,7 @@ def orbits_of_degree(surface: SurfaceModel, c: int) -> tuple[AcmRecord, ...]:
         if a is not None and _criterion(surface, (a,) + t):
             hits.append((a,) + t)
     hits.sort()
-    return tuple(AcmRecord(h, c, orbit_size(n, h[1:])) for h in hits)
+    return tuple(AcmRecord(h, c, orbit_size(h[1:])) for h in hits)
 
 
 def coefficients_of_degree(surface: SurfaceModel, c: int) -> list[tuple[int, ...]]:
@@ -155,14 +153,15 @@ def closed_form_catalog(surface: SurfaceModel) -> list[AcmRecord]:
     """Catalog generated directly from the explicit table rows, one record per
     orbit under permuting the exceptional divisors, in the scan's order.
 
-    Blow-ups of r points: l - e1..em (m <= min(2,r)); 2l - e1..em
-    (max(r-3,0) <= m <= min(5,r)); 3l - 2e1 - e2..em (max(1,r-1) <= m <= r);
-    4l - 2e1 - 2e2 - 2e3 - e4..er (r >= 3); 5l - 2e1..2e6 (r = 6); plus the
-    zero class and the exceptional divisors.  A row a*l - sum b_i e_i is
-    recorded as its orbit's least member, the negated multiplicities in
-    ascending order, so the exceptional divisors' row is e_r.  The quadric:
-    0, h + bm and bh + m for b = 0..3, eight classes, ah + bm of degree
-    2(a + b), each its own orbit as the tail is the single coefficient of m.
+    Blow-ups of r points, each row with its orbit size: l - e1..em (m <= min(2,r))
+    and 2l - e1..em (max(r-3,0) <= m <= min(5,r)), C(r,m); 3l - 2e1 - e2..em
+    (max(1,r-1) <= m <= r), r C(r-1,m-1); 4l - 2e1 - 2e2 - 2e3 - e4..er (r >= 3),
+    C(r,3); 5l - 2e1..2e6 (r = 6) and the zero class, 1; the exceptional
+    divisors, r.  A row a*l - sum b_i e_i is recorded as its orbit's least
+    member, the negated multiplicities in ascending order, so the exceptional
+    divisors' row is e_r.  The quadric: 0, h + bm and bh + m for b = 0..3,
+    eight classes, ah + bm of degree 2(a + b), each its own orbit (size 1) as
+    the tail is the single coefficient of m.  No size comes from the scan.
     """
     records = [AcmRecord((0,) * surface.rank, 0, 1)]
     if surface.kind == QUADRIC:
@@ -171,21 +170,21 @@ def closed_form_catalog(surface: SurfaceModel) -> list[AcmRecord]:
     else:
         r = surface.r
 
-        def add(a: int, b: tuple[int, ...]) -> None:
-            records.append(AcmRecord((a,) + tuple(sorted(-x for x in b)), 3 * a - sum(b), orbit_size(r, b)))
+        def add(a: int, b: tuple[int, ...], size: int) -> None:
+            records.append(AcmRecord((a,) + tuple(sorted(-x for x in b)), 3 * a - sum(b), size))
 
         if r >= 1:
-            add(0, (-1,) + (0,) * (r - 1))
+            add(0, (-1,) + (0,) * (r - 1), r)
         for m in range(0, min(2, r) + 1):
-            add(1, (1,) * m + (0,) * (r - m))
+            add(1, (1,) * m + (0,) * (r - m), math.comb(r, m))
         for m in range(max(r - 3, 0), min(5, r) + 1):
-            add(2, (1,) * m + (0,) * (r - m))
+            add(2, (1,) * m + (0,) * (r - m), math.comb(r, m))
         for m in range(max(1, r - 1), r + 1):
-            add(3, (2,) + (1,) * (m - 1) + (0,) * (r - m))
+            add(3, (2,) + (1,) * (m - 1) + (0,) * (r - m), r * math.comb(r - 1, m - 1))
         if r >= 3:
-            add(4, (2, 2, 2) + (1,) * (r - 3))
+            add(4, (2, 2, 2) + (1,) * (r - 3), math.comb(r, 3))
         if r == 6:
-            add(5, (2,) * 6)
+            add(5, (2,) * 6, 1)
     records.sort(key=lambda rec: (rec.degree, rec.canonical))
     return records
 

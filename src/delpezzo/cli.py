@@ -109,7 +109,8 @@ def _classify_report(D: DivisorClass) -> dict:
 
 def cmd_classify(args: argparse.Namespace) -> dict:
     surface = surface_from_name(args.surface)
-    if not isinstance(args.divisor, str):  # argparse drops a second '--' and passes []
+    # after a second '--', argparse 3.13.0 and older passes []; 3.13.13 passes '--', which parse_divisor rejects
+    if not isinstance(args.divisor, str):
         raise ValueError("expected one divisor text, got none after '--'")
     D = parse_divisor(surface, args.divisor)
     return {
@@ -250,12 +251,9 @@ def _rank(text: str) -> int:
     which ``wild.family_plan`` rejects by that cap: ``int`` itself refuses a rank past the int-to-str limit."""
     match = re.fullmatch(r"\s*[+-]?([0-9]+)\s*", text)
     if match is None:
-        raise ValueError(text)
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
     cap = max_digits()
     return 10**cap if len(match[1]) > cap else int(text)
-
-
-_rank.__name__ = "int"  # argparse names the type in "invalid int value"
 
 
 def build_parser() -> argparse.ArgumentParser:

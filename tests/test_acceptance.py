@@ -108,7 +108,7 @@ def test_orbit_counts():
             b = tuple(-c for c in record.canonical[1:])
             # independent oracle: count distinct permutations directly
             assert record.orbit_count == len(set(itertools.permutations(b)))
-            assert record.orbit_count == orbit_size(surface.r, b)
+            assert record.orbit_count == orbit_size(b)
 
 
 @criterion(6, "wild pairs and relation block")

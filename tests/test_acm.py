@@ -312,23 +312,15 @@ def test_enumerated_class_invariants(surface):
 
 
 def test_orbit_size_is_multinomial():
-    assert orbit_size(6, (2, 2, 2, 1, 1, 1)) == 20
-    assert orbit_size(6, (2, 1, 1, 1, 1, 0)) == 30
-    assert orbit_size(5, (-1, 0, 0, 0, 0)) == 5
-    assert orbit_size(0, ()) == 1
+    assert orbit_size((2, 2, 2, 1, 1, 1)) == 20
+    assert orbit_size((2, 1, 1, 1, 1, 0)) == 30
+    assert orbit_size((-1, 0, 0, 0, 0)) == 5
+    assert orbit_size(()) == 1
 
 
-@pytest.mark.parametrize("r, b", [(3, (1, 1)), (2, (1, 2, 3))])
-def test_orbit_size_rejects_a_vector_of_another_length(r, b):
-    with pytest.raises(ValueError, match=f"length {len(b)}, not r = {r}"):
-        orbit_size(r, b)
-
-
-@given(data=st.data())
-def test_orbit_size_counts_distinct_permutations(data):
-    r = data.draw(st.integers(1, 5))
-    b = tuple(data.draw(st.tuples(*([st.integers(-1, 2)] * r))))
-    assert orbit_size(r, b) == len(set(itertools.permutations(b)))
+@given(b=st.lists(st.integers(-1, 2), max_size=5).map(tuple))
+def test_orbit_size_counts_distinct_permutations(b):
+    assert orbit_size(b) == len(set(itertools.permutations(b)))
 
 
 # --- closed-form catalog (the independent oracle) -------------------------------------
