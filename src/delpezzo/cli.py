@@ -9,13 +9,14 @@ the only place that knows about formats and exit codes:
     0  success, or argparse's ``--help``
     1  verification failure (the payload's ``ok`` is false)
     2  usage, parse or I/O error (argparse's usage errors, ``ValueError``, ``OSError``)
-    3  request outside the supported surface range (``UnsupportedSurface``,
-       ``NotFound``)
-    4  internal error: any other exception, a bug, reported on one line
+    3  request outside the supported surface range (``UnsupportedSurface``)
+    4  internal error: any other exception, a bug, reported on one line; this
+       includes a ``NotFound`` from an empty wild-pair search on X3..X6
 
-Divisor text may start with '-' (``acm classify X3 -l+e1``).  JSON output is
-emitted with sorted keys and a stable layout so identical invocations are
-byte-identical; the schema ships at schemas/acm-output.schema.json.
+Divisor text after the surface may start with '-' (``acm classify X3
+-l+e1``).  JSON output is emitted with sorted keys and a stable layout so
+identical invocations are byte-identical; the schema ships at
+schemas/acm-output.schema.json.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import sys
 from collections.abc import Iterator
 
 from . import acm, geometry, goldens, wild
-from .errors import NotFound, PreconditionViolated, UnsupportedSurface
+from .errors import UnsupportedSurface
 from .picard import (
     SURFACE_NAMES,
     DivisorClass,
@@ -100,10 +101,7 @@ def _classify_report(D: DivisorClass) -> dict:
         report["very_ample"] = None
     report["smooth_member"] = None if P is None or D.is_zero else P == D
     report["acm_initialized"] = acm.is_acm_initialized(D)
-    try:
-        report["zero_regular"] = wild.is_zero_regular_acm(D)
-    except PreconditionViolated:
-        report["zero_regular"] = None
+    report["zero_regular"] = wild.is_zero_regular_acm(D) if report["acm_initialized"] else None
     return report
 
 
@@ -185,7 +183,8 @@ def text_table(p: dict) -> Iterator[str]:
 
 def cmd_wild(args: argparse.Namespace) -> dict:
     surface = surface_from_name(args.surface)
-    plan = wild.family_plan(surface, args.rank)  # NotFound: degree <= 6 guarantees a pair
+    # family_plan rejects degree > 6 before its pair search, so a NotFound here is a bug (exit 4)
+    plan = wild.family_plan(surface, args.rank)
     pair = plan.pair
     return {
         "command": "wild",
@@ -246,8 +245,8 @@ def text_verify(p: dict) -> Iterator[str]:
 
 
 def _rank(text: str) -> int:
-    """A rank written as the divisor grammar writes a coefficient: surrounding whitespace, one optional
-    sign and ASCII digits.  A rank of more than ``max_digits()`` digits reads as ``10**max_digits()``,
+    """A rank written as surrounding whitespace, then one optional sign directly followed by ASCII digits
+    ``0-9``.  A rank of more than ``max_digits()`` digits reads as ``10**max_digits()``,
     which ``wild.family_plan`` rejects by that cap: ``int`` itself refuses a rank past the int-to-str limit."""
     match = re.fullmatch(r"\s*[+-]?([0-9]+)\s*", text)
     if match is None:
@@ -300,16 +299,23 @@ def _divisor_behind_dashes(argv: list[str]) -> list[str]:
     """Move classify divisor text that starts with '-' (``-l+e1``) behind ``--``.
 
     argparse would read such text as an option.  Only ``-h`` and the long
-    options are options of ``classify``, so every other token starting with
-    a single '-' is divisor text; putting it last keeps ``--format`` working
-    on either side of it.
+    options are options of ``classify``, so every other token after the
+    surface (the first bare token that is not the value of ``--format``)
+    starting with a single '-' is divisor text; putting it last keeps
+    ``--format`` working on either side of it.  Tokens before the surface
+    stay where they are, so ``classify -e1 X3`` is a usage error, as
+    ``classify l X3`` is.  ``-h`` is never moved: ``classify Q -h`` prints
+    the help, and ``classify Q -- -h`` classifies the class -h.
     """
     if argv[:1] != ["classify"] or "--" in argv:
         return argv
-    texts = [t for t in argv[1:] if t.startswith("-") and not t.startswith("--") and t != "-h"]
+    # the value of --format, or of an abbreviation argparse accepts (--f .. --forma), is not the surface
+    values = {i + 1 for i, t in enumerate(argv) if len(t) > 2 and "--format".startswith(t)}
+    surface = next((i for i, t in enumerate(argv) if i and not t.startswith("-") and i not in values), len(argv))
+    texts = [i for i, t in enumerate(argv) if i > surface and t.startswith("-") and not t.startswith("--") and t != "-h"]
     if not texts:
         return argv
-    return [t for t in argv if t not in texts] + ["--", *texts]
+    return [t for i, t in enumerate(argv) if i not in texts] + ["--", *(argv[i] for i in texts)]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -320,7 +326,7 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps(payload, indent=2, sort_keys=True) if args.format == "json" else "\n".join(args.view(payload)))
     except SystemExit as exc:  # argparse has printed the help (0) or a usage error (2)
         return exc.code
-    except (UnsupportedSurface, NotFound) as exc:
+    except UnsupportedSurface as exc:
         return _fail(str(exc), OUT_OF_SCOPE)
     except (ValueError, OSError) as exc:  # bad input, or a file the environment will not let us read
         return _fail(str(exc), USAGE_ERROR)

@@ -10,11 +10,7 @@ class UnsupportedSurface(ValueError):
 
 
 class PreconditionViolated(ValueError):
-    """A documented precondition of the operation does not hold."""
-
-
-class NotApplicable(ValueError):
-    """The operation is undefined for these arguments (e.g. equal classes)."""
+    """A documented precondition of the operation does not hold (e.g. equal classes)."""
 
 
 class NotFound(LookupError):

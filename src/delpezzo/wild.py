@@ -14,13 +14,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterator
 
-from .errors import (
-    InternalError,
-    NotApplicable,
-    NotFound,
-    PreconditionViolated,
-    UnsupportedSurface,
-)
+from .errors import InternalError, NotFound, PreconditionViolated, UnsupportedSurface
 from .acm import coefficients_of_degree, is_acm_initialized
 from .geometry import cohomology
 from .picard import DivisorClass, SurfaceModel, degree, hyperplane, intersect, max_digits
@@ -40,7 +34,7 @@ def ext1_dimension(C: DivisorClass, D: DivisorClass) -> int:
     1 + C.D - d, checked against the cohomology of D - C, which also proves
     Hom = Ext^2 = 0 (D - C has degree 0 and K - D + C degree -d)."""
     if C == D:
-        raise NotApplicable("Ext dimensions are stated for distinct classes")
+        raise PreconditionViolated("Ext dimensions are stated for distinct classes")
     _require_maximal_acm(C)
     _require_maximal_acm(D)
     ext1 = 1 + intersect(C, D) - C.surface.degree

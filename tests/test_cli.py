@@ -131,6 +131,27 @@ def test_classify_divisor_with_leading_minus(surface, text, capsys):
     assert payload["divisor"] == format_divisor(parse_divisor(surface_from_name(surface), text))
 
 
+@pytest.mark.parametrize("fmt", [(), ("--format", "json"), ("--form", "json")], ids=["text", "json", "abbrev"])
+def test_classify_dash_led_text_is_divisor_text_only_after_the_surface(fmt, capsys):
+    code, out, err = run(capsys, "classify", *fmt, "X3", "-e1")
+    assert (code, err) == (0, "")
+    assert "-e1" in out
+    code, out, err = run(capsys, "classify", *fmt, "-e1", "X3")
+    assert (code, out) == (2, "")
+    assert "the following arguments are required: divisor" in err
+    assert run(capsys, "classify", *fmt, "l", "X3")[:2] == (2, "")  # bare text before the surface fails too
+
+
+def test_classify_h_on_the_quadric_is_help_unless_behind_double_dash(capsys):
+    code, out, err = run(capsys, "classify", "Q", "-h")
+    assert (code, err) == (0, "")
+    assert "usage: acm classify" in out
+    code, out, err = run(capsys, "classify", "Q", "--format", "json", "--", "-h")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert (payload["divisor"], payload["report"]["degree"]) == ("-h", -2)
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("argv", [("X6", "--", "--"), ("--", "X6", "--")], ids=["X6_dd_dd", "dd_X6_dd"])
 def test_classify_with_nothing_after_a_second_double_dash_is_a_usage_error(argv, fmt, capsys):
@@ -390,6 +411,28 @@ def test_wild_out_of_scope(capsys):
     code, out, err = run(capsys, "wild", "X2", "--rank", "2")
     assert code == 3
     assert "degree" in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_wild_empty_pair_search_is_an_internal_error(fmt, capsys, monkeypatch):
+    """family_plan rejects degree > 6 before it searches, so no pair on X3..X6 is a bug, not exit 3."""
+    monkeypatch.setattr(wild, "_wild_pairs", lambda surface: iter(()))
+    code, out, err = run(capsys, "wild", "X6", "--rank", "3", "--format", fmt)
+    assert (code, out) == (4, "")
+    assert err.startswith("acm: internal error: NotFound: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "surface, text, calls, shown", [("X3", "3l-2e1-e2", 1, "true"), ("X6", "3l-e1-e2-2e3", 0, "n/a")]
+)
+def test_classify_asks_zero_regular_only_of_acm_classes(surface, text, calls, shown, capsys, monkeypatch):
+    seen = []
+    is_zero_regular_acm = wild.is_zero_regular_acm
+    monkeypatch.setattr(wild, "is_zero_regular_acm", lambda D: seen.append(D) or is_zero_regular_acm(D))
+    code, out, err = run(capsys, "classify", surface, text)
+    assert (code, err) == (0, "")
+    assert f"zero_regular: {shown}\n" in out
+    assert len(seen) == calls
 
 
 def test_wild_evaluates_the_relation_block_once(capsys, monkeypatch):

@@ -9,7 +9,6 @@ import pytest
 
 from delpezzo import (
     InternalError,
-    NotApplicable,
     NotFound,
     PreconditionViolated,
     UnsupportedSurface,
@@ -129,7 +128,7 @@ def test_ext1_rejects_a_disagreeing_cohomology(monkeypatch):
 
 def test_ext_rejects_bad_input():
     C = parse_divisor(X3, "3l-2e1-e2")
-    with pytest.raises(NotApplicable):
+    with pytest.raises(PreconditionViolated):
         ext1_dimension(C, C)
     with pytest.raises(PreconditionViolated):
         ext1_dimension(C, parse_divisor(X3, "l"))  # degree 3 < 6
@@ -146,7 +145,7 @@ def test_ext_vs_rank2_values():
     pair = find_wild_pair(X3)
     assert ext1_into_rank2(pair.E, pair.C, pair.D) == ext1_dimension_vs_rank2(pair.E, pair.C, pair.D) == 3
     assert ext1_into_rank2(pair.F, pair.C, pair.D) == ext1_dimension_vs_rank2(pair.F, pair.C, pair.D) == 3
-    with pytest.raises(NotApplicable):
+    with pytest.raises(PreconditionViolated):
         ext1_into_rank2(pair.C, pair.C, pair.D)
     with pytest.raises(PreconditionViolated):
         ext1_into_rank2(hyperplane(X3), pair.C, pair.D)  # not ACM
