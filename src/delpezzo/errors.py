@@ -2,7 +2,7 @@
 
 
 class SurfaceMismatch(ValueError):
-    """Operands live on different surfaces, or an op got the wrong surface kind."""
+    """Operands live on different surfaces."""
 
 
 class UnsupportedSurface(ValueError):

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from .acm import coefficients_of_degree
 from .errors import InternalError, UnsupportedSurface
-from .picard import BLOWUP, DivisorClass, SurfaceModel, canonical_class, degree, euler_characteristic
+from .picard import BLOWUP, DivisorClass, SurfaceModel, degree, euler_characteristic
 
 
 class LineClass(namedtuple("LineClass", "label divisor")):
@@ -135,7 +135,7 @@ def cohomology(D: DivisorClass) -> tuple[int, int, int]:
     effective.  Serre duality gives h^2 = h^0(K - D), and Riemann-Roch
     h^1 = h^0 + h^2 - chi(D).
     """
-    h0, h2 = _h0(D), _h0(canonical_class(D.surface) - D)
+    h0, h2 = _h0(D), _h0(D.surface.canonical - D)
     h1 = h0 + h2 - euler_characteristic(D)
     if h1 < 0:
         raise InternalError(f"negative h^1 for {D}")

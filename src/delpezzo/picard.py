@@ -8,9 +8,8 @@ self-intersection, arithmetic genus, Euler characteristic) is computed in
 exact integer arithmetic.
 
 Sign convention: a blow-up class is stored as a*l + sum(c_i * e_i).  The
-traditional presentation a*l - sum(b_i * e_i) therefore has c_i = -b_i; the
-b-vector is available through :func:`multiplicities`.  The text formatter
-prints the coefficients as they are stored, e.g. ``3l-2e1-e2``.
+traditional presentation a*l - sum(b_i * e_i) therefore has c_i = -b_i.  The
+text formatter prints the coefficients as they are stored, e.g. ``3l-2e1-e2``.
 """
 
 import functools
@@ -40,7 +39,7 @@ class SurfaceModel:
     * ``gram``: the nonzero entries ``(i, j, value)`` of the Gram matrix in
       the standard basis, one per coordinate: ``l^2 = 1`` and ``e_i^2 = -1``
       on blow-ups, ``h.m = m.h = 1`` on the quadric;
-    * ``canonical`` and ``hyperplane``: the classes K and H = -K;
+    * ``canonical`` and ``hyperplane``: the classes K (``-3l+e1+...+er``, ``-2h-2m``) and H = -K;
     * ``degree_vector``: the coefficients of the functional D -> D.H,
       ``(3, 1, ..., 1)`` on blow-ups and ``(2, 2)`` on the quadric;
     * ``degree`` (H^2), ``rank``, ``name``, ``basis`` (the basis symbols) and
@@ -196,31 +195,6 @@ class DivisorClass:
         return format_divisor(self)
 
 
-def divisor(surface: SurfaceModel, *coeffs: int) -> DivisorClass:
-    """Build a class from raw basis coefficients (l, e1, ..) or (h, m)."""
-    return DivisorClass(surface, tuple(coeffs))
-
-
-def zero_class(surface: SurfaceModel) -> DivisorClass:
-    return DivisorClass(surface, (0,) * surface.rank)
-
-
-def from_multiplicities(surface: SurfaceModel, a: int, b: tuple[int, ...] | list[int]) -> DivisorClass:
-    """Build ``a*l - sum(b_i * e_i)`` from the traditional multiplicity vector."""
-    if surface.kind != BLOWUP:
-        raise SurfaceMismatch("multiplicity vectors only make sense on blow-ups")
-    if len(b) != surface.r:
-        raise ValueError(f"expected {surface.r} multiplicities, got {len(b)}")
-    return DivisorClass(surface, (a,) + tuple(-x for x in b))
-
-
-def multiplicities(D: DivisorClass) -> tuple[int, ...]:
-    """The b-vector of ``D = a*l - sum(b_i * e_i)``."""
-    if D.surface.kind != BLOWUP:
-        raise SurfaceMismatch("multiplicity vectors only make sense on blow-ups")
-    return tuple(-c for c in D.coeffs[1:])
-
-
 # ---------------------------------------------------------------------------
 # intersection theory
 
@@ -229,16 +203,6 @@ def intersect(D: DivisorClass, E: DivisorClass) -> int:
     """Intersection number of two classes on the same surface (see ``SurfaceModel.gram``)."""
     D._require_same_surface(E)
     return D.surface.pair(D.coeffs, E.coeffs)
-
-
-def canonical_class(surface: SurfaceModel) -> DivisorClass:
-    """K = -3l + e1 + ... + er on blow-ups, -2h - 2m on the quadric."""
-    return surface.canonical
-
-
-def hyperplane(surface: SurfaceModel) -> DivisorClass:
-    """The very ample anticanonical class H = -K embedding the surface."""
-    return surface.hyperplane
 
 
 def degree(D: DivisorClass) -> int:

@@ -17,7 +17,7 @@ from collections.abc import Iterator
 from .errors import InternalError, NotFound, PreconditionViolated, UnsupportedSurface
 from .acm import coefficients_of_degree, is_acm_initialized
 from .geometry import cohomology
-from .picard import DivisorClass, SurfaceModel, degree, hyperplane, intersect, max_digits
+from .picard import DivisorClass, SurfaceModel, degree, intersect, max_digits
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +63,7 @@ class WildPair(namedtuple("WildPair", "C D E F")):
 
 
 def _make_pair(C: DivisorClass, D: DivisorClass) -> WildPair:
-    two_h = 2 * hyperplane(C.surface)
+    two_h = 2 * C.surface.hyperplane
     pair = WildPair(C, D, two_h - C, two_h - D)
     if len(set(pair)) != 4:
         raise InternalError(f"wild pair members are not distinct: {pair}")

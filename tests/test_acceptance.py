@@ -13,8 +13,6 @@ from delpezzo import (
     arithmetic_genus,
     blow_up,
     degree,
-    divisor,
-    hyperplane,
     intersect,
     parse_divisor,
     quadric,
@@ -158,7 +156,7 @@ def test_bound_saturation():
     for surface in ALL_SURFACES:
         n = surface.degree
         maximal = [D for D in enumerate_acm(surface) if degree(D) == n]
-        two_h = 2 * hyperplane(surface)
+        two_h = 2 * surface.hyperplane
         for C in maximal:
             for D in maximal:
                 c, d = n, n
@@ -176,9 +174,9 @@ def test_property_suite():
     for _ in range(125):
         for surface in ALL_SURFACES:
             rank = surface.rank
-            u = divisor(surface, *(rng.randint(-10, 10) for _ in range(rank)))
-            v = divisor(surface, *(rng.randint(-10, 10) for _ in range(rank)))
-            w = divisor(surface, *(rng.randint(-10, 10) for _ in range(rank)))
+            u = DivisorClass(surface, [rng.randint(-10, 10) for _ in range(rank)])
+            v = DivisorClass(surface, [rng.randint(-10, 10) for _ in range(rank)])
+            w = DivisorClass(surface, [rng.randint(-10, 10) for _ in range(rank)])
             k = rng.randint(-5, 5)
             assert intersect(u, v) == intersect(v, u)
             assert intersect(u + v, w) == intersect(u, w) + intersect(v, w)
@@ -194,7 +192,7 @@ def test_property_suite():
     for r in (2, 3, 4, 5, 6):
         surface = blow_up(r)
         for _ in range(200):
-            D = divisor(surface, *(rng.randint(-10, 10) for _ in range(surface.rank)))
+            D = DivisorClass(surface, [rng.randint(-10, 10) for _ in range(surface.rank)])
             assert decompose(D).reconstruct() == D
 
     # effectivity consistency: every class of the numerical criterion is effective
@@ -207,7 +205,7 @@ def test_property_suite():
         surface = blow_up(r)
         for a in range(0, 6):
             for b in itertools.combinations_with_replacement(range(3, -2, -1), r):
-                D = divisor(surface, a, *(-x for x in b))
+                D = DivisorClass(surface, (a, *(-x for x in b)))
                 if self_intersection(D) == degree(D) - 2 and degree(D) > 0:
                     assert is_effective(D)
 
@@ -219,7 +217,7 @@ def test_property_suite():
     X1 = blow_up(1)
     for a in range(-10, 11):
         for c1 in range(-10, 11):
-            D = divisor(X1, a, c1)
+            D = DivisorClass(X1, (a, c1))
             assert from_ruled(to_ruled(D)) == D
 
 

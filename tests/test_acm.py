@@ -13,12 +13,9 @@ from delpezzo import (
     arithmetic_genus,
     blow_up,
     degree,
-    divisor,
-    hyperplane,
     intersect,
     parse_divisor,
     quadric,
-    zero_class,
 )
 from delpezzo import acm
 from delpezzo.acm import (
@@ -54,11 +51,11 @@ def sort_key(D):
 
 
 def test_criterion_examples():
-    assert is_acm_initialized(zero_class(X2))
+    assert is_acm_initialized(DivisorClass(X2, (0, 0, 0)))
     D = parse_divisor(X1, "3l-2e1")
     assert is_acm_initialized(D) and degree(D) == 7
     for surface in ALL_SURFACES:
-        assert not is_acm_initialized(hyperplane(surface))
+        assert not is_acm_initialized(surface.hyperplane)
     assert not is_acm_initialized(parse_divisor(X3, "l-e1-e2-e3"))
 
 
@@ -80,7 +77,7 @@ def test_quadric_criterion_examples():
 
 @given(a=st.integers(-10, 10), b=st.integers(-10, 10))
 def test_quadric_criterion_agrees_with_general(a, b):
-    assert quadric_closed_form(a, b) == is_acm_initialized(divisor(Q, a, b))
+    assert quadric_closed_form(a, b) == is_acm_initialized(DivisorClass(Q, (a, b)))
 
 
 # --- enumeration ------------------------------------------------------------------
@@ -284,7 +281,7 @@ def test_coefficient_range_bounds_every_solution():
         for a in range(-3, 10):
             for t in itertools.combinations_with_replacement(range(-5, 6), surface.rank - 1):
                 coeffs = (a,) + t
-                D = divisor(surface, *coeffs)
+                D = DivisorClass(surface, coeffs)
                 c = degree(D)
                 if 0 <= c <= surface.degree and intersect(D, D) == c - 2:
                     solutions += 1
@@ -375,7 +372,7 @@ def test_catalog_classes_are_initialized_acm_by_cohomology(surface):
     """Every catalog class D has h^0(D - H) = 0 and h^1(D + tH) = 0; the
     nonzero ones have h^0(D) = D.H and h^0(H - D) = H^2 - D.H; and
     h^2(D - 2H) is the closed form."""
-    H = hyperplane(surface)
+    H = surface.hyperplane
     for D in enumerate_acm(surface):
         assert cohomology(D - H)[0] == 0
         assert all(cohomology(D + t * H)[1] == 0 for t in range(-6, 7))
@@ -389,22 +386,22 @@ def test_h1_twist_vanishes_on_acm_classes():
     for surface in (X2, X3, Q):
         for D in enumerate_acm(surface):
             if not D.is_zero:
-                assert cohomology(D - hyperplane(surface))[1] == h1_initialized_twist(D) == 0
+                assert cohomology(D - surface.hyperplane)[1] == h1_initialized_twist(D) == 0
 
 
 def test_h1_twist_examples():
     """h^1(D - H) = -p_a(D) on initialized effective classes, ACM or not."""
     for surface, text, h1 in ((X1, "2l-e1", 0), (X2, "2l-2e1-2e2", 2), (X2, "2l-2e1", 1)):
         D = parse_divisor(surface, text)
-        assert cohomology(D)[0] > 0 == cohomology(D - hyperplane(surface))[0]
-        assert cohomology(D - hyperplane(surface))[1] == h1_initialized_twist(D) == h1
+        assert cohomology(D)[0] > 0 == cohomology(D - surface.hyperplane)[0]
+        assert cohomology(D - surface.hyperplane)[1] == h1_initialized_twist(D) == h1
 
 
 def test_ambient_dimension_examples():
     D = parse_divisor(X2, "2l-e1-e2")
     assert cohomology(D) == (ambient_dimension(D), 0, 0) == (4, 0, 0)
-    assert cohomology(hyperplane(X2) - D)[0] == h0_hyperplane_residual(D) == 3
+    assert cohomology(X2.hyperplane - D)[0] == h0_hyperplane_residual(D) == 3
     E = parse_divisor(X3, "e1")
     assert cohomology(E) == (ambient_dimension(E), 0, 0) == (1, 0, 0)
     top = parse_divisor(X3, "3l-2e1-e2")  # degree 6 = H^2
-    assert cohomology(hyperplane(X3) - top)[0] == h0_hyperplane_residual(top) == 0
+    assert cohomology(X3.hyperplane - top)[0] == h0_hyperplane_residual(top) == 0

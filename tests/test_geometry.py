@@ -8,22 +8,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from delpezzo import (
+    DivisorClass,
     InternalError,
     PreconditionViolated,
     UnsupportedSurface,
     arithmetic_genus,
     blow_up,
-    canonical_class,
     degree,
-    divisor,
     euler_characteristic,
-    from_multiplicities,
-    hyperplane,
     intersect,
     parse_divisor,
     quadric,
     self_intersection,
-    zero_class,
 )
 from delpezzo import geometry
 from delpezzo.acm import enumerate_acm
@@ -86,11 +82,12 @@ def formula_lines(surface):
     lines = [(f"E{i + 1}", e[i]) for i in range(r)]
     for i, j in itertools.combinations(range(r), 2):
         lines.append((f"F{i + 1}{j + 1}", l - e[i] - e[j]))
+    zero = DivisorClass(surface, (0,) * surface.rank)
     if r == 5:
-        lines.append(("G", 2 * l - sum(e, zero_class(surface))))
+        lines.append(("G", 2 * l - sum(e, zero)))
     if r == 6:
         for j in range(6):
-            lines.append((f"G{j + 1}", 2 * l - sum((e[i] for i in range(6) if i != j), zero_class(surface))))
+            lines.append((f"G{j + 1}", 2 * l - sum((e[i] for i in range(6) if i != j), zero)))
     return lines
 
 
@@ -119,19 +116,19 @@ def test_effectivity_x1_closed_form():
     l = parse_divisor(X1, "l")
     for a in range(-10, 11):
         for c1 in range(-10, 11):
-            D = divisor(X1, a, c1)
+            D = DivisorClass(X1, (a, c1))
             assert is_effective(D) == (intersect(D, f) >= 0 and intersect(D, l) >= 0)
 
 
 def test_effectivity_quadric_closed_form():
     for a in range(-10, 11):
         for b in range(-10, 11):
-            assert is_effective(divisor(Q, a, b)) == (a >= 0 and b >= 0)
+            assert is_effective(DivisorClass(Q, (a, b))) == (a >= 0 and b >= 0)
 
 
 def test_effectivity_monoid_cases():
-    assert is_effective(hyperplane(X6))
-    assert is_effective(zero_class(X6))
+    assert is_effective(X6.hyperplane)
+    assert is_effective(DivisorClass(X6, (0, 0, 0, 0, 0, 0, 0)))
     assert not is_effective(-1 * parse_divisor(X2, "e1"))
     assert not is_effective(parse_divisor(X2, "e1-e2"))  # degree 0, nonzero
     assert not is_effective(parse_divisor(X3, "l-e1-e2-e3"))
@@ -145,7 +142,7 @@ def test_effectivity_lemma_consistency(r, data):
     surface = blow_up(r)
     a = data.draw(st.integers(0, 5))
     b = data.draw(st.tuples(*([st.integers(-1, 3)] * r)))
-    D = divisor(surface, a, *(-x for x in b))
+    D = DivisorClass(surface, (a, *(-x for x in b)))
     if self_intersection(D) == degree(D) - 2 and degree(D) > 0:
         assert is_effective(D)
 
@@ -206,10 +203,10 @@ def oracle_sample(surface):
     vectors in [-2, 3] with l-coefficient in [-2, 8 - r] and degree in [-3, 9]
     (the search's cost grows fast with the l-coefficient on X5 and X6)."""
     if surface.kind == "quadric":
-        return [divisor(surface, a, b) for a in range(-5, 6) for b in range(-5, 6)]
+        return [DivisorClass(surface, (a, b)) for a in range(-5, 6) for b in range(-5, 6)]
     r = surface.r
     sample = (
-        from_multiplicities(surface, a, b)
+        DivisorClass(surface, (a, *(-x for x in b)))
         for a in range(-2, 9 - r)
         for b in itertools.combinations_with_replacement(range(3, -3, -1), r)
     )
@@ -226,10 +223,10 @@ def test_effectivity_agrees_with_oracle(surface):
 
 def test_effectivity_beyond_the_search():
     k = 3000
-    assert is_effective(from_multiplicities(X6, 3 * k, (k,) * 6))  # k*H
+    assert is_effective(DivisorClass(X6, (3 * k,) + (-k,) * 6))  # k*H
     a = 1000
     for surface in (X2, X3, X6):
-        D = from_multiplicities(surface, a, (a + 1,) + (0,) * (surface.r - 1))
+        D = DivisorClass(surface, (a, -a - 1) + (0,) * (surface.r - 1))
         nef = parse_divisor(surface, "l-e1")
         assert all(intersect(nef, L.divisor) >= 0 for L in enumerate_lines(surface))
         assert intersect(D, nef) == -1  # certificate: D meets a nef class negatively
@@ -257,7 +254,7 @@ def test_effectivity_and_very_ampleness_agree_with_the_former_rules(r):
     effective cone, beyond the l-coefficient 8 - r that the line-monoid search reaches."""
     surface = blow_up(r)
     sample = [
-        from_multiplicities(surface, a, b)
+        DivisorClass(surface, (a, *(-x for x in b)))
         for a in range(-3, 16)
         for b in itertools.combinations_with_replacement(range(5, -5, -1), r)
         if -3 <= 3 * a - sum(b) <= 9
@@ -303,10 +300,10 @@ def positivity_box(surface):
     """Seeded classes with coefficients in [-6, 6], their negatives, multiples
     of H, and 10^100 times classes of the box plus a small perturbation."""
     rng = random.Random(f"positivity {surface.name}")
-    small = [divisor(surface, *(rng.randint(-6, 6) for _ in range(surface.rank))) for _ in range(300)]
-    nudge = [divisor(surface, *(rng.randint(-2, 2) for _ in range(surface.rank))) for _ in range(100)]
+    small = [DivisorClass(surface, [rng.randint(-6, 6) for _ in range(surface.rank)]) for _ in range(300)]
+    nudge = [DivisorClass(surface, [rng.randint(-2, 2) for _ in range(surface.rank)]) for _ in range(100)]
     huge = [10**100 * D + E for D, E in zip(small, nudge)]
-    multiples = [k * hyperplane(surface) for k in (0, 1, 2, 10**100)]
+    multiples = [k * surface.hyperplane for k in (0, 1, 2, 10**100)]
     return small + [-D for D in small] + multiples + huge + [-D for D in huge]
 
 
@@ -354,7 +351,7 @@ def test_every_line_minus_e_r_is_a_nonnegative_sum_of_simple_roots(r):
     e_r = parse_divisor(surface, f"e{r}")
     for L in enumerate_lines(surface):
         n = simple_root_coefficients((L.divisor - e_r).coeffs)
-        assert sum((k * alpha for k, alpha in zip(n, roots)), zero_class(surface)) == L.divisor - e_r
+        assert sum((k * alpha for k, alpha in zip(n, roots)), e_r) == L.divisor
         assert min(n) >= 0, L.label
 
 
@@ -363,16 +360,17 @@ def test_least_product_is_invariant_under_the_simple_reflections(data):
     surface = data.draw(st.sampled_from([blow_up(r) for r in range(3, 7)]), label="surface")
     scale = data.draw(st.sampled_from([1, 10**100]), label="scale")
     a, *tail = (scale * x for x in data.draw(st.tuples(*[st.integers(-9, 9)] * surface.rank)))
-    D = divisor(surface, a, *tail)
+    D = DivisorClass(surface, (a, *tail))
     alpha = parse_divisor(surface, "l-e1-e2-e3")
-    permuted = divisor(surface, a, *data.draw(st.permutations(tail), label="tail"))
+    permuted = DivisorClass(surface, (a, *data.draw(st.permutations(tail), label="tail")))
     assert least_product(D) == least_product(permuted) == least_product(D + intersect(D, alpha) * alpha)
 
 
 def expected_fixed_part(D):
     """sum (-D.L) L over the lines L with D.L < 0, and those lines."""
     negative = [L.divisor for L in enumerate_lines(D.surface) if intersect(D, L.divisor) < 0]
-    return sum((-intersect(D, L) * L for L in negative), zero_class(D.surface)), negative
+    zero = DivisorClass(D.surface, (0,) * D.surface.rank)
+    return sum((-intersect(D, L) * L for L in negative), zero), negative
 
 
 @pytest.mark.parametrize("surface", ALL_SURFACES, ids=str)
@@ -413,18 +411,18 @@ def test_permuting_the_tail_changes_no_verdict(data):
         smooth = has_smooth_nonline_member(D) if effective and not D.is_zero else None
         return effective, is_very_ample(D), smooth
 
-    assert verdicts(divisor(surface, *coeffs)) == verdicts(divisor(surface, coeffs[0], *tail))
+    assert verdicts(DivisorClass(surface, coeffs)) == verdicts(DivisorClass(surface, (coeffs[0], *tail)))
 
 
 # --- very ample / smooth members -------------------------------------------------
 
 
 def test_very_ample_examples():
-    assert is_very_ample(hyperplane(X6))
+    assert is_very_ample(X6.hyperplane)
     assert not is_very_ample(parse_divisor(X1, "f"))
     assert not is_very_ample(parse_divisor(X2, "l-e1-e2"))
     for r in range(1, 7):
-        assert is_very_ample(hyperplane(blow_up(r)))
+        assert is_very_ample(blow_up(r).hyperplane)
 
 
 def test_very_ample_out_of_scope():
@@ -438,12 +436,12 @@ def test_smooth_member_examples():
     assert has_smooth_nonline_member(parse_divisor(X1, "f"))
     assert not has_smooth_nonline_member(parse_divisor(X1, "e1"))
     for surface in ALL_SURFACES:
-        assert has_smooth_nonline_member(hyperplane(surface))
+        assert has_smooth_nonline_member(surface.hyperplane)
 
 
 def test_smooth_member_preconditions():
     with pytest.raises(PreconditionViolated):
-        has_smooth_nonline_member(zero_class(X3))
+        has_smooth_nonline_member(DivisorClass(X3, (0, 0, 0, 0)))
     with pytest.raises(PreconditionViolated):
         has_smooth_nonline_member(parse_divisor(X3, "-l"))
 
@@ -452,13 +450,13 @@ def test_smooth_member_preconditions():
 @given(data=st.data())
 def test_very_ample_implies_smooth_member(r, data):
     surface = blow_up(r)
-    D = divisor(surface, *data.draw(st.tuples(*([st.integers(-6, 6)] * surface.rank))))
+    D = DivisorClass(surface, data.draw(st.tuples(*([st.integers(-6, 6)] * surface.rank))))
     if is_very_ample(D):
         assert has_smooth_nonline_member(D)
 
 
 def test_very_ample_implies_smooth_member_spot_checks():
-    for D in (hyperplane(X3), 2 * hyperplane(X3), parse_divisor(X3, "3l-e1-e2-e3")):
+    for D in (X3.hyperplane, 2 * X3.hyperplane, parse_divisor(X3, "3l-e1-e2-e3")):
         assert is_very_ample(D)
         assert has_smooth_nonline_member(D)
 
@@ -518,16 +516,16 @@ def test_h0_agrees_with_plane_interpolation():
         points = [(rng.randrange(PRIME), rng.randrange(PRIME)) for _ in range(r)]
         for a in range(-1, 5):
             for tail in itertools.combinations_with_replacement(range(-3, 2), r):
-                D = divisor(surface, a, *tail)
+                D = DivisorClass(surface, (a, *tail))
                 if 0 <= degree(D) <= 8:
                     assert cohomology(D)[0] == interpolation_h0(D, points), D
                     checked += 1
     for a in range(-3, 3):
-        assert cohomology(divisor(X0, a))[0] == (comb(a + 2, 2) if a >= 0 else 0)
+        assert cohomology(DivisorClass(X0, (a,)))[0] == (comb(a + 2, 2) if a >= 0 else 0)
         checked += 1
     for a, b in itertools.product(range(-2, 5), repeat=2):
         if a + b <= 4:
-            assert cohomology(divisor(Q, a, b))[0] == ((a + 1) * (b + 1) if min(a, b) >= 0 else 0)
+            assert cohomology(DivisorClass(Q, (a, b)))[0] == ((a + 1) * (b + 1) if min(a, b) >= 0 else 0)
             checked += 1
     assert checked >= 250
 
@@ -538,9 +536,9 @@ def test_h0_agrees_with_plane_interpolation():
 def test_cohomology_properties_on_the_box(surface, data):
     """Serre symmetry, h^0 - h^1 + h^2 = chi, h^0 = 0 in negative degree,
     and h^0 monotone under adding a line, for coefficients in [-6, 6]."""
-    D = divisor(surface, *data.draw(st.tuples(*[st.integers(-6, 6)] * surface.rank), label="coeffs"))
+    D = DivisorClass(surface, data.draw(st.tuples(*[st.integers(-6, 6)] * surface.rank), label="coeffs"))
     h0, h1, h2 = cohomology(D)
-    assert cohomology(canonical_class(surface) - D) == (h2, h1, h0)
+    assert cohomology(surface.canonical - D) == (h2, h1, h0)
     assert h0 - h1 + h2 == euler_characteristic(D)
     if degree(D) < 0:
         assert h0 == 0
@@ -548,8 +546,8 @@ def test_cohomology_properties_on_the_box(surface, data):
 
 
 def test_cohomology_examples():
-    assert cohomology(zero_class(X6)) == (1, 0, 0)
-    assert cohomology(canonical_class(X6)) == (0, 0, 1)
+    assert cohomology(DivisorClass(X6, (0, 0, 0, 0, 0, 0, 0))) == (1, 0, 0)
+    assert cohomology(X6.canonical) == (0, 0, 1)
     assert cohomology(parse_divisor(X2, "2l-2e1-2e2")) == (1, 1, 0)  # a double line: O_L(-2) has h^1 = 1
     assert cohomology(parse_divisor(X2, "e1-e2")) == (0, 0, 0)  # degree 0, not effective
     assert cohomology(parse_divisor(Q, "2h-2m")) == (0, 3, 0)  # Kunneth: h^0(O(2)) h^1(O(-2)) on P1 x P1
@@ -592,7 +590,7 @@ def test_alternative_base_x2():
 
 
 def test_alternative_base_last_entry_is_h_on_x6():
-    assert alternative_base(X6)[-1] == hyperplane(X6)
+    assert alternative_base(X6)[-1] == X6.hyperplane
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
@@ -620,9 +618,9 @@ def test_decompose_simple_cases():
     assert dec.alphas == (1, 0, 0)
     assert dec.permutation == (1, 2)
     # H = D0 + D3 on the cubic: alpha_0 = H.F12 = 1
-    dec = decompose(hyperplane(X3))
+    dec = decompose(X3.hyperplane)
     assert dec.alphas == (1, 0, 0, 1)
-    assert dec.reconstruct() == hyperplane(X3)
+    assert dec.reconstruct() == X3.hyperplane
 
 
 def test_decompose_uses_minimising_lines_for_r5():
@@ -637,10 +635,10 @@ def test_decompose_uses_minimising_lines_for_r5():
 @given(data=st.data())
 def test_decompose_reconstruction(r, data):
     surface = blow_up(r)
-    D = divisor(surface, *data.draw(st.tuples(*([st.integers(-10, 10)] * surface.rank))))
+    D = DivisorClass(surface, data.draw(st.tuples(*([st.integers(-10, 10)] * surface.rank))))
     dec = decompose(D)
     assert dec.reconstruct() == D
-    assert 3 * dec.line_class == hyperplane(surface) + sum(dec.exceptional, zero_class(surface))
+    assert 3 * dec.line_class == sum(dec.exceptional, surface.hyperplane)
     assert all(alpha >= 0 for alpha in dec.alphas[1:-1])
     assert dec.alphas[-1] == intersect(D, dec.exceptional[-1])
     if r >= 5:
@@ -684,7 +682,7 @@ def test_each_twisted_cubic_is_the_line_class_of_its_frame(r):
         frame = [L for L in lines if intersect(L, N) == 0]
         assert len(frame) == r
         assert all(intersect(L, M) == 0 for L, M in itertools.combinations(frame, 2))
-        assert hyperplane(surface) + sum(frame, zero_class(surface)) == 3 * N
+        assert sum(frame, surface.hyperplane) == 3 * N
 
 
 @pytest.mark.parametrize("r, ordered_pairs", [(5, 160), (6, 432)])

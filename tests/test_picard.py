@@ -10,20 +10,14 @@ from delpezzo import (
     SurfaceModel,
     arithmetic_genus,
     blow_up,
-    canonical_class,
     degree,
-    divisor,
     euler_characteristic,
     format_divisor,
-    from_multiplicities,
-    hyperplane,
     intersect,
-    multiplicities,
     parse_divisor,
     quadric,
     self_intersection,
     surface_from_name,
-    zero_class,
 )
 
 from paper_values import RuledCoords, from_ruled, to_ruled
@@ -42,9 +36,9 @@ def vectors(surface, bound=10):
 
 
 def test_pairing_on_generators():
-    l = divisor(X3, 1, 0, 0, 0)
-    e1 = divisor(X3, 0, 1, 0, 0)
-    e2 = divisor(X3, 0, 0, 1, 0)
+    l = DivisorClass(X3, (1, 0, 0, 0))
+    e1 = DivisorClass(X3, (0, 1, 0, 0))
+    e2 = DivisorClass(X3, (0, 0, 1, 0))
     assert intersect(l, l) == 1
     assert intersect(e1, e1) == -1
     assert intersect(e1, e2) == 0
@@ -58,8 +52,8 @@ def test_pairing_wild_pair_value():
 
 
 def test_pairing_quadric():
-    h = divisor(Q, 1, 0)
-    m = divisor(Q, 0, 1)
+    h = DivisorClass(Q, (1, 0))
+    m = DivisorClass(Q, (0, 1))
     assert intersect(h, m) == 1
     assert intersect(h, h) == 0
     assert intersect(m, m) == 0
@@ -67,15 +61,24 @@ def test_pairing_quadric():
 
 def test_pairing_surface_mismatch():
     with pytest.raises(SurfaceMismatch):
-        intersect(divisor(X2, 1, 0, 0), divisor(X3, 1, 0, 0, 0))
+        intersect(DivisorClass(X2, (1, 0, 0)), DivisorClass(X3, (1, 0, 0, 0)))
+
+
+def test_sum_and_difference_surface_mismatch():
+    """X1 and Q both have rank 2, so only the surface check keeps h from being read as l."""
+    l, h = DivisorClass(X1, (1, 0)), DivisorClass(Q, (1, 0))
+    with pytest.raises(SurfaceMismatch, match="different surfaces: X1 vs Q"):
+        l + h
+    with pytest.raises(SurfaceMismatch, match="different surfaces: Q vs X1"):
+        h - l
 
 
 @pytest.mark.parametrize("surface", ALL_SURFACES, ids=str)
 @given(data=st.data())
 def test_pairing_symmetric_bilinear(surface, data):
-    u = divisor(surface, *data.draw(vectors(surface)))
-    v = divisor(surface, *data.draw(vectors(surface)))
-    w = divisor(surface, *data.draw(vectors(surface)))
+    u = DivisorClass(surface, data.draw(vectors(surface)))
+    v = DivisorClass(surface, data.draw(vectors(surface)))
+    w = DivisorClass(surface, data.draw(vectors(surface)))
     n = data.draw(st.integers(-5, 5))
     assert intersect(u, v) == intersect(v, u)
     assert intersect(u + v, w) == intersect(u, w) + intersect(v, w)
@@ -87,7 +90,7 @@ def test_pairing_signature_is_diagonal():
         if surface.kind == "quadric":
             continue
         rank = surface.rank
-        basis = [divisor(surface, *(1 if k == i else 0 for k in range(rank))) for i in range(rank)]
+        basis = [DivisorClass(surface, [1 if k == i else 0 for k in range(rank)]) for i in range(rank)]
         gram = [[intersect(a, b) for b in basis] for a in basis]
         expected = [[0] * rank for _ in range(rank)]
         expected[0][0] = 1
@@ -100,30 +103,30 @@ def test_pairing_signature_is_diagonal():
 
 
 def test_canonical_class_values():
-    assert canonical_class(X0) == parse_divisor(X0, "-3l")
-    assert canonical_class(X6) == parse_divisor(X6, "-3l+e1+e2+e3+e4+e5+e6")
-    assert canonical_class(Q) == parse_divisor(Q, "-2h-2m")
+    assert X0.canonical == parse_divisor(X0, "-3l")
+    assert X6.canonical == parse_divisor(X6, "-3l+e1+e2+e3+e4+e5+e6")
+    assert Q.canonical == parse_divisor(Q, "-2h-2m")
 
 
 @pytest.mark.parametrize("surface", ALL_SURFACES, ids=str)
 def test_canonical_self_intersection_is_degree(surface):
-    K = canonical_class(surface)
+    K = surface.canonical
     assert intersect(K, K) == surface.degree
 
 
 def test_hyperplane_values():
-    assert hyperplane(X1) == parse_divisor(X1, "3l-e1")
-    assert hyperplane(X0) == parse_divisor(X0, "3l")
-    assert hyperplane(Q) == parse_divisor(Q, "2h+2m")
+    assert X1.hyperplane == parse_divisor(X1, "3l-e1")
+    assert X0.hyperplane == parse_divisor(X0, "3l")
+    assert Q.hyperplane == parse_divisor(Q, "2h+2m")
     for surface in ALL_SURFACES:
-        H = hyperplane(surface)
+        H = surface.hyperplane
         assert intersect(H, H) == surface.degree
 
 
 def test_degree_examples():
     assert degree(parse_divisor(X1, "e1")) == 1
     assert degree(parse_divisor(X2, "2l-e1-e2")) == 4
-    assert degree(zero_class(X3)) == 0
+    assert degree(DivisorClass(X3, (0, 0, 0, 0))) == 0
 
 
 # --- genus and Euler characteristic -----------------------------------------
@@ -133,36 +136,36 @@ def test_genus_examples():
     assert arithmetic_genus(parse_divisor(X0, "l")) == 0
     assert arithmetic_genus(parse_divisor(X0, "3l")) == 1
     for surface in ALL_SURFACES:
-        for D in (zero_class(surface), hyperplane(surface), -3 * hyperplane(surface)):
+        for D in (DivisorClass(surface, (0,) * surface.rank), surface.hyperplane, -3 * surface.hyperplane):
             assert type(arithmetic_genus(D)) is int
 
 
 @pytest.mark.parametrize("surface", ALL_SURFACES, ids=str)
 @given(data=st.data())
 def test_genus_adjunction_identity(surface, data):
-    D = divisor(surface, *data.draw(vectors(surface)))
-    K = canonical_class(surface)
+    D = DivisorClass(surface, data.draw(vectors(surface)))
+    K = surface.canonical
     assert arithmetic_genus(D) == 1 + (self_intersection(D) + intersect(D, K)) / 2
 
 
 @pytest.mark.parametrize("surface", ALL_SURFACES, ids=str)
 def test_chi_of_structure_sheaf(surface):
-    assert euler_characteristic(zero_class(surface)) == 1
+    assert euler_characteristic(DivisorClass(surface, (0,) * surface.rank)) == 1
 
 
 @pytest.mark.parametrize("surface", ALL_SURFACES, ids=str)
 def test_chi_of_minus_two_h(surface):
-    assert euler_characteristic(-2 * hyperplane(surface)) == surface.degree + 1
+    assert euler_characteristic(-2 * surface.hyperplane) == surface.degree + 1
 
 
 def test_chi_of_h_on_cubic():
-    assert euler_characteristic(hyperplane(X3)) == 7
+    assert euler_characteristic(X3.hyperplane) == 7
 
 
 @pytest.mark.parametrize("surface", ALL_SURFACES, ids=str)
 @given(data=st.data())
 def test_chi_closed_form(surface, data):
-    D = divisor(surface, *data.draw(vectors(surface)))
+    D = DivisorClass(surface, data.draw(vectors(surface)))
     assert 2 * euler_characteristic(D) - 2 == self_intersection(D) + degree(D)
 
 
@@ -175,7 +178,7 @@ def test_ruled_examples():
     assert parse_divisor(X1, "f") == parse_divisor(X1, "l-e1")
     assert from_ruled(RuledCoords(c0=1, f=1)) == parse_divisor(X1, "C0+f") == parse_divisor(X1, "l")
     assert from_ruled(RuledCoords(c0=2, f=3)) == parse_divisor(X1, "2C0+3f") == parse_divisor(X1, "3l-e1")
-    assert from_ruled(RuledCoords(c0=0, f=0)) == zero_class(X1)
+    assert from_ruled(RuledCoords(c0=0, f=0)) == DivisorClass(X1, (0, 0))
     assert to_ruled(parse_divisor(X1, "3l-e1")) == RuledCoords(c0=2, f=3)
 
 
@@ -187,60 +190,36 @@ def test_ruled_round_trip(c0, f):
 
 @given(a=st.integers(-10, 10), c1=st.integers(-10, 10))
 def test_ruled_round_trip_other_way(a, c1):
-    D = divisor(X1, a, c1)
+    D = DivisorClass(X1, (a, c1))
     assert from_ruled(to_ruled(D)) == D
 
 
 def test_ruled_wrong_surface():
     with pytest.raises(SurfaceMismatch):
-        to_ruled(divisor(X2, 1, 0, 0))
+        to_ruled(DivisorClass(X2, (1, 0, 0)))
     for surface in (X0, X2, Q):
         for text in ("C0", "f"):
             with pytest.raises(DivisorParseError, match="unknown basis symbol"):
                 parse_divisor(surface, f"2{text}")
 
 
-# --- multiplicity vectors a*l - sum(b_i e_i) ------------------------------------
-
-
-@pytest.mark.parametrize("r", range(1, 7))
-@given(a=st.integers(-10, 10), data=st.data())
-def test_multiplicities_round_trip(r, a, data):
-    surface = blow_up(r)
-    b = data.draw(st.tuples(*([st.integers(-10, 10)] * r)))
-    D = from_multiplicities(surface, a, b)
-    assert D.coeffs == (a,) + tuple(-x for x in b)
-    assert multiplicities(D) == b
-    assert from_multiplicities(surface, a, list(b)) == D
-
-
-def test_multiplicities_need_a_blow_up_and_one_entry_per_point():
-    with pytest.raises(SurfaceMismatch):
-        from_multiplicities(Q, 1, (1,))
-    with pytest.raises(SurfaceMismatch):
-        multiplicities(divisor(Q, 1, 1))
-    with pytest.raises(ValueError) as err:
-        from_multiplicities(X3, 1, (1, 1))
-    assert str(err.value) == "expected 3 multiplicities, got 2"
-
-
 # --- text grammar -------------------------------------------------------------
 
 
 def test_parse_basic_forms():
-    assert parse_divisor(X3, "3l-2e1-e2") == divisor(X3, 3, -2, -1, 0)
-    assert parse_divisor(Q, "h+3m") == divisor(Q, 1, 3)
-    assert parse_divisor(X1, "2C0+3f") == divisor(X1, 3, -1)
-    assert parse_divisor(X2, "0") == zero_class(X2)
+    assert parse_divisor(X3, "3l-2e1-e2") == DivisorClass(X3, (3, -2, -1, 0))
+    assert parse_divisor(Q, "h+3m") == DivisorClass(Q, (1, 3))
+    assert parse_divisor(X1, "2C0+3f") == DivisorClass(X1, (3, -1))
+    assert parse_divisor(X2, "0") == DivisorClass(X2, (0, 0, 0))
 
 
 def test_parse_whitespace_and_order():
-    assert parse_divisor(X3, " - e2 + 3 l - 2 e1 ") == divisor(X3, 3, -2, -1, 0)
+    assert parse_divisor(X3, " - e2 + 3 l - 2 e1 ") == DivisorClass(X3, (3, -2, -1, 0))
     assert parse_divisor(X3, "-2e1+3l-e2") == parse_divisor(X3, "3l-2e1-e2")
 
 
 def test_parse_duplicate_terms_summed():
-    assert parse_divisor(X3, "l+l+l-e1-e1") == divisor(X3, 3, -2, 0, 0)
+    assert parse_divisor(X3, "l+l+l-e1-e1") == DivisorClass(X3, (3, -2, 0, 0))
 
 
 def test_parse_errors_carry_position():
@@ -312,7 +291,7 @@ def test_parse_rejects_non_ascii_digits(text, position):
 @pytest.mark.parametrize("surface", ALL_SURFACES, ids=str)
 @given(data=st.data())
 def test_format_parse_round_trip(surface, data):
-    D = divisor(surface, *data.draw(vectors(surface)))
+    D = DivisorClass(surface, data.draw(vectors(surface)))
     assert parse_divisor(surface, format_divisor(D)) == D
 
 
@@ -331,17 +310,17 @@ def test_surface_names():
 
 
 def test_divisor_class_equality_and_hash():
-    D = divisor(X3, 3, -2, -1, 0)
-    assert D == divisor(X3, 3, -2, -1, 0)
-    assert hash(D) == hash(divisor(X3, 3, -2, -1, 0))
-    assert len({D, divisor(X3, 3, -2, -1, 0)}) == 1
-    assert D != divisor(X3, 3, -2, -1, 1)
-    assert divisor(X1, 1, 0) != divisor(Q, 1, 0)
-    assert divisor(X2, 0, 0, 0) != zero_class(X3)
+    D = DivisorClass(X3, (3, -2, -1, 0))
+    assert D == DivisorClass(X3, (3, -2, -1, 0))
+    assert hash(D) == hash(DivisorClass(X3, (3, -2, -1, 0)))
+    assert len({D, DivisorClass(X3, (3, -2, -1, 0))}) == 1
+    assert D != DivisorClass(X3, (3, -2, -1, 1))
+    assert DivisorClass(X1, (1, 0)) != DivisorClass(Q, (1, 0))
+    assert DivisorClass(X2, (0, 0, 0)) != DivisorClass(X3, (0, 0, 0, 0))
 
 
 def test_divisor_class_never_equals_a_tuple():
-    D = divisor(X2, 1, -1, 0)
+    D = DivisorClass(X2, (1, -1, 0))
     assert D != (X2, (1, -1, 0))
     assert D != (1, -1, 0)
     assert (X2, (1, -1, 0)) != D
@@ -357,7 +336,7 @@ def test_surface_equality_and_hash():
 
 
 def test_value_types_are_immutable():
-    D = divisor(X3, 1, -1, 0, 0)
+    D = DivisorClass(X3, (1, -1, 0, 0))
     with pytest.raises(AttributeError):
         D.coeffs = (0, 0, 0, 0)
     with pytest.raises(AttributeError):
@@ -413,14 +392,14 @@ def test_surface_validation_messages(args, message):
 def test_value_type_reprs():
     assert repr(X3) == "SurfaceModel(kind='blowup', r=3)"
     assert repr(Q) == "SurfaceModel(kind='quadric', r=None)"
-    assert repr(divisor(X2, 1, -1, 0)) == (
+    assert repr(DivisorClass(X2, (1, -1, 0))) == (
         "DivisorClass(surface=SurfaceModel(kind='blowup', r=2), coeffs=(1, -1, 0))"
     )
-    assert repr(to_ruled(divisor(X1, 2, -1))) == "RuledCoords(c0=1, f=2)"
+    assert repr(to_ruled(DivisorClass(X1, (2, -1)))) == "RuledCoords(c0=1, f=2)"
 
 
 def test_value_types_pickle():
-    D = divisor(X6, 5, -2, -2, -2, -2, -2, -2)
+    D = DivisorClass(X6, (5, -2, -2, -2, -2, -2, -2))
     assert pickle.loads(pickle.dumps(D)) == D
     assert pickle.loads(pickle.dumps(Q)) == Q
 
@@ -434,7 +413,7 @@ def test_post_init_runs_once_per_construction(monkeypatch):
         return original(self)
 
     monkeypatch.setattr(DivisorClass, "__post_init__", counted)
-    D = divisor(X2, 1, -1, 0)
+    D = DivisorClass(X2, (1, -1, 0))
     assert calls == [(1, -1, 0)]
     -D
     D + D

@@ -1,17 +1,19 @@
 """Every top-level definition in ``src/delpezzo`` is reached from what users run.
 
 The roots are ``cli.main`` and ``cli.run`` (the ``acm`` console script and
-``python -m delpezzo.cli``), the names of ``delpezzo.__all__``, the names
-that ``scripts/*.py`` import, and the functions the benchmark tracer wraps
-(``SPANS`` and ``COUNTS`` of ``bench/tracing.py``).  A definition reaches
-each package name its body mentions: a bare name bound in its module, by a
-definition or a relative import, or ``m.name`` for a package module ``m``
-imported with ``from . import m``.  Module-level statements that define
-nothing run at import, so the names they mention are roots as well.  The
-graph is read with ``ast``; nothing is imported.  Code that only the tests
-reach belongs in the tests (``tests/paper_values.py``), not in the package.
-Under ``tests/`` every top-level helper must be used by another statement, so
-a retired test leaves no orphaned oracle or sample behind.
+``python -m delpezzo.cli``), the names that ``scripts/*.py`` import, and the
+functions the benchmark tracer wraps (``SPANS`` and ``COUNTS`` of
+``bench/tracing.py``).  A name that ``delpezzo.__all__`` lists is no root:
+exporting a name is no use of it, so a public name needs a user path too.
+A definition reaches each package name its body mentions: a bare name bound
+in its module, by a definition or a relative import, or ``m.name`` for a
+package module ``m`` imported with ``from . import m``.  Module-level
+statements that define nothing run at import, so the names they mention are
+roots as well.  The graph is read with ``ast``; nothing is imported.  Code
+that only the tests reach belongs in the tests (``tests/paper_values.py``),
+not in the package.  Under ``tests/`` every top-level helper must be used by
+another statement, so a retired test leaves no orphaned oracle or sample
+behind.
 """
 
 import ast
@@ -84,9 +86,9 @@ class Graph:
 
     def roots(self, external):
         """The definitions named by ``external`` ((module, name) pairs from outside the package), by
-        ``cli.main``, ``cli.run`` and ``__all__``, and by every module's import-time statements."""
-        pairs = [("cli", "main"), ("cli", "run"), ("__init__", "__all__")]
-        pairs += [("__init__", name) for name in self.all_names] + list(external)
+        ``cli.main`` and ``cli.run``, and by every module's import-time statements.  The ``__all__``
+        assignment is a root (it mentions no definition), the names it lists are not."""
+        pairs = [("cli", "main"), ("cli", "run"), ("__init__", "__all__")] + list(external)
         found = [target for pair in pairs if (target := self.resolve(*pair))]
         for module, nodes in self.import_time.items():
             found.extend(self.references(module, nodes))
@@ -127,6 +129,7 @@ def test_the_roots_resolve_to_definitions():
     assert graph.resolve("cli", "main") == ("cli", "main")
     assert graph.resolve("__init__", "parse_divisor") == ("picard", "parse_divisor")
     assert "DivisorClass" in graph.all_names
+    assert all(graph.resolve("__init__", name) for name in graph.all_names)  # each is bound in the package
     for pair in external_roots():
         assert graph.resolve(*pair) is not None, pair
     assert ("goldens", "write_golden_dir") in external_roots()  # scripts/regen_goldens.py
@@ -186,8 +189,14 @@ def test_a_planted_definition_is_reported():
     before = set(Graph(sources).unreachable(external_roots()))
     sources["geometry"] += "\n\ndef planted(D):\n    return _helper(D)\n\n\ndef _helper(D):\n    return moving_part(D)\n"
     sources["wild"] += "\n\nPLANTED = RELATIONS\n"
+    # a function that only __all__ exports has no user path either
+    sources["picard"] += "\n\ndef exported_only(D):\n    return D\n"
+    sources["__init__"] = sources["__init__"].replace("from .picard import (\n", "from .picard import (\n    exported_only,\n")
+    sources["__init__"] = sources["__init__"].replace("__all__ = [\n", '__all__ = [\n    "exported_only",\n')
+    assert "exported_only" in Graph(sources).all_names
     found = set(Graph(sources).unreachable(external_roots())) - before
-    assert found == {("geometry", "_helper"), ("geometry", "planted"), ("wild", "PLANTED")}
-    # a caller that a root reaches makes them reachable
+    assert found == {("geometry", "_helper"), ("geometry", "planted"), ("wild", "PLANTED"), ("picard", "exported_only")}
+    # a caller that a root reaches makes them reachable, and so does a script's import of the public name
     sources["cli"] += "\n\ndef _uses(D):\n    return geometry.planted(D), wild.PLANTED\n"
-    assert set(Graph(sources).unreachable(external_roots() + [("cli", "_uses")])) == before
+    users = [("cli", "_uses"), ("__init__", "exported_only")]
+    assert set(Graph(sources).unreachable(external_roots() + users)) == before

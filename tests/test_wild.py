@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from delpezzo import (
+    DivisorClass,
     InternalError,
     NotFound,
     PreconditionViolated,
@@ -15,11 +16,9 @@ from delpezzo import (
     blow_up,
     degree,
     euler_characteristic,
-    hyperplane,
     intersect,
     parse_divisor,
     quadric,
-    zero_class,
 )
 from delpezzo import cli, wild
 from delpezzo.acm import enumerate_acm, is_acm_initialized
@@ -96,7 +95,7 @@ def test_bounds_hold_for_every_acm_pair(surface):
 def test_upper_bound_saturation_iff_pair_sums_to_2h(surface):
     n = surface.degree
     maximal = [D for D in enumerate_acm(surface) if degree(D) == n]
-    two_h = 2 * hyperplane(surface)
+    two_h = 2 * surface.hyperplane
     for C in maximal:
         for D in maximal:
             saturated = intersect(C, D) == n + 2
@@ -109,8 +108,8 @@ def test_upper_bound_saturation_iff_pair_sums_to_2h(surface):
 def test_ext_values_on_the_cubic_pair():
     C = parse_divisor(X3, "3l-2e1-e2")
     D = parse_divisor(X3, "3l-2e2-e3")
-    E = 2 * hyperplane(X3) - C
-    F = 2 * hyperplane(X3) - D
+    E = 2 * X3.hyperplane - C
+    F = 2 * X3.hyperplane - D
     assert cohomology(D - C) == (0, 2, 0)  # (Hom, Ext^1, Ext^2) from O(C) to O(D)
     assert ext1_dimension(E, F) == 2
     assert ext1_dimension(C, E) == 3
@@ -133,7 +132,7 @@ def test_ext_rejects_bad_input():
     with pytest.raises(PreconditionViolated):
         ext1_dimension(C, parse_divisor(X3, "l"))  # degree 3 < 6
     with pytest.raises(PreconditionViolated):
-        ext1_dimension(C, hyperplane(X3))  # not ACM at all
+        ext1_dimension(C, X3.hyperplane)  # not ACM at all
 
 
 def ext1_into_rank2(R, C, D):
@@ -148,7 +147,7 @@ def test_ext_vs_rank2_values():
     with pytest.raises(PreconditionViolated):
         ext1_into_rank2(pair.C, pair.C, pair.D)
     with pytest.raises(PreconditionViolated):
-        ext1_into_rank2(hyperplane(X3), pair.C, pair.D)  # not ACM
+        ext1_into_rank2(X3.hyperplane, pair.C, pair.D)  # not ACM
     with pytest.raises(PreconditionViolated):
         ext1_into_rank2(pair.E, parse_divisor(X3, "l"), pair.D)  # degree 3 < 6
 
@@ -326,19 +325,19 @@ def test_family_report_prints_the_first_pairs_and_dimensions():
 
 def test_zero_regularity():
     assert is_zero_regular_acm(parse_divisor(X3, "3l-2e1-e2"))
-    assert not is_zero_regular_acm(zero_class(X3))
-    assert cohomology(-2 * hyperplane(X3)) == (0, 0, h2_twist_minus_2(zero_class(X3))) == (0, 0, 7)
+    assert not is_zero_regular_acm(DivisorClass(X3, (0, 0, 0, 0)))
+    assert cohomology(-2 * X3.hyperplane) == (0, 0, h2_twist_minus_2(DivisorClass(X3, (0, 0, 0, 0)))) == (0, 0, 7)
     e1 = parse_divisor(X1, "e1")
     assert not is_zero_regular_acm(e1)
-    assert cohomology(e1 - 2 * hyperplane(X1)) == (0, 0, h2_twist_minus_2(e1)) == (0, 0, 7)
+    assert cohomology(e1 - 2 * X1.hyperplane) == (0, 0, h2_twist_minus_2(e1)) == (0, 0, 7)
     with pytest.raises(PreconditionViolated):
-        is_zero_regular_acm(hyperplane(X3))
+        is_zero_regular_acm(X3.hyperplane)
 
 
 @pytest.mark.parametrize("surface", ALL_SURFACES, ids=str)
 def test_zero_regular_iff_maximal_degree(surface):
     """On every catalog class, and exactly when O(D) is Ulrich: every h^i(D - H) and h^i(D - 2H) vanishes."""
-    H = hyperplane(surface)
+    H = surface.hyperplane
     for D in enumerate_acm(surface):
         ulrich = cohomology(D - H) == cohomology(D - 2 * H) == (0, 0, 0)
         assert is_zero_regular_acm(D) == (degree(D) == surface.degree and not D.is_zero) == ulrich
