@@ -18,8 +18,6 @@ tuple (a, c_1, ..., c_r) ((h, m) on the quadric); each orbit record's
 representative is its orbit's least member.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 from collections import namedtuple

@@ -19,8 +19,6 @@ identical invocations are byte-identical; the schema ships at
 schemas/acm-output.schema.json.
 """
 
-from __future__ import annotations
-
 import argparse
 import gc
 import json
@@ -85,24 +83,21 @@ def text_lines(p: dict) -> Iterator[str]:
 def _classify_report(D: DivisorClass) -> dict:
     """The classify fields, in the order the text report prints them.
 
-    One Zariski round gives ``effective`` and ``smooth_member`` (see ``geometry.moving_part``).
+    One Zariski round gives ``effective`` and ``smooth_member`` (see ``geometry.moving_part``); each
+    predicate returns None, shown as n/a, where its criterion is not stated.
     """
     P = geometry.moving_part(D)
-    report: dict[str, object] = {
+    return {
         "degree": degree(D),
         "self_intersection": self_intersection(D),
         "arithmetic_genus": arithmetic_genus(D),
         "euler_characteristic": euler_characteristic(D),
         "effective": P is not None,
+        "very_ample": geometry.is_very_ample(D),
+        "smooth_member": None if P is None or D.is_zero else P == D,
+        "acm_initialized": acm.is_acm_initialized(D),
+        "zero_regular": wild.is_zero_regular_acm(D),
     }
-    try:
-        report["very_ample"] = geometry.is_very_ample(D)
-    except UnsupportedSurface:
-        report["very_ample"] = None
-    report["smooth_member"] = None if P is None or D.is_zero else P == D
-    report["acm_initialized"] = acm.is_acm_initialized(D)
-    report["zero_regular"] = wild.is_zero_regular_acm(D) if report["acm_initialized"] else None
-    return report
 
 
 def cmd_classify(args: argparse.Namespace) -> dict:

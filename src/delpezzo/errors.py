@@ -6,7 +6,7 @@ class SurfaceMismatch(ValueError):
 
 
 class UnsupportedSurface(ValueError):
-    """The requested criterion or construction is not defined on this surface."""
+    """The requested construction is not defined on this surface."""
 
 
 class PreconditionViolated(ValueError):

@@ -9,13 +9,11 @@ chamber; and the exact cohomology h^0, h^1, h^2 of any class, from that
 round and Serre duality.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from functools import lru_cache
 
 from .acm import coefficients_of_degree
-from .errors import InternalError, UnsupportedSurface
+from .errors import InternalError
 from .picard import BLOWUP, DivisorClass, SurfaceModel, degree, euler_characteristic
 
 
@@ -111,14 +109,13 @@ def is_effective(D: DivisorClass) -> bool:
     return moving_part(D) is not None
 
 
-def is_very_ample(D: DivisorClass) -> bool:
+def is_very_ample(D: DivisorClass) -> bool | None:
     """D.N > 0 for the lines and conics (blow-ups of 1..6 points): e1 and l-e1
-    on X1; for r >= 2 each conic is a sum of two lines.  So least_product(D) > 0."""
-    surface = D.surface
-    if surface.kind != BLOWUP or surface.r == 0:
-        raise UnsupportedSurface(
-            f"the very-ampleness criterion is stated only for blow-ups of 1..6 points, not {surface}"
-        )
+    on X1; for r >= 2 each conic is a sum of two lines.  So least_product(D) > 0.
+
+    None on the plane and the quadric, where the criterion is not stated."""
+    if D.surface.kind != BLOWUP or D.surface.r == 0:
+        return None
     return least_product(D) > 0
 
 

@@ -9,8 +9,6 @@ record, and re-checks genus, degree, effectivity and the line products on
 each record's representative.
 """
 
-from __future__ import annotations
-
 import itertools
 import os
 from pathlib import Path

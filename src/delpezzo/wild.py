@@ -9,8 +9,6 @@ bundles are the cohomology of a difference, Ext^i(O(C), O(D)) =
 H^i(O(D - C)), read off ``geometry.cohomology``.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from collections.abc import Iterator
 
@@ -159,8 +157,9 @@ def family_plan(surface: SurfaceModel, n: int) -> FamilyPlan:
 # 0-regularity
 
 
-def is_zero_regular_acm(D: DivisorClass) -> bool:
-    """An initialized ACM class is 0-regular exactly when its degree is H^2.
+def is_zero_regular_acm(D: DivisorClass) -> bool | None:
+    """An initialized ACM class is 0-regular exactly when its degree is H^2;
+    None for any other class, where 0-regularity is not stated.
 
     Equivalently O(D) is Ulrich: every h^i(D - H) and h^i(D - 2H) vanishes.
     Riemann-Roch with D^2 = D.H - 2 gives chi(D - H) = 0 and chi(D - 2H) =
@@ -169,5 +168,5 @@ def is_zero_regular_acm(D: DivisorClass) -> bool:
     At D = 0, h^2(-H) = h^0(0) = 1.
     """
     if not is_acm_initialized(D):
-        raise PreconditionViolated(f"{D} is not an initialized ACM class")
+        return None
     return not D.is_zero and degree(D) == D.surface.degree

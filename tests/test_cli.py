@@ -1,7 +1,9 @@
+import gc
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -11,6 +13,7 @@ from delpezzo import (
     SURFACE_NAMES,
     InternalError,
     PreconditionViolated,
+    UnsupportedSurface,
     acm,
     cli,
     format_divisor,
@@ -423,16 +426,32 @@ def test_wild_empty_pair_search_is_an_internal_error(fmt, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "surface, text, calls, shown", [("X3", "3l-2e1-e2", 1, "true"), ("X6", "3l-e1-e2-2e3", 0, "n/a")]
+    "surface, text, field, shown",
+    [
+        ("X0", "l", "very_ample", "n/a"),
+        ("Q", "h+m", "very_ample", "n/a"),
+        ("X6", "3l-e1-e2-2e3", "zero_regular", "n/a"),
+        ("X3", "3l-2e1-e2", "zero_regular", "true"),
+    ],
 )
-def test_classify_asks_zero_regular_only_of_acm_classes(surface, text, calls, shown, capsys, monkeypatch):
-    seen = []
-    is_zero_regular_acm = wild.is_zero_regular_acm
-    monkeypatch.setattr(wild, "is_zero_regular_acm", lambda D: seen.append(D) or is_zero_regular_acm(D))
+def test_classify_reports_n_a_without_an_exception(surface, text, field, shown, capsys, monkeypatch):
+    """Each n/a is the None its predicate returns: classify asks each predicate once and builds no
+    UnsupportedSurface or PreconditionViolated, on the plane, the quadric or a class that is not ACM."""
+    built, asked = [], []
+
+    def recorded(self, *args):
+        built.append(self)
+        ValueError.__init__(self, *args)
+
+    for error in (UnsupportedSurface, PreconditionViolated):
+        monkeypatch.setattr(error, "__init__", recorded)
+    for module, name in ((geometry, "is_very_ample"), (wild, "is_zero_regular_acm")):
+        predicate = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda D, name=name, predicate=predicate: asked.append(name) or predicate(D))
     code, out, err = run(capsys, "classify", surface, text)
     assert (code, err) == (0, "")
-    assert f"zero_regular: {shown}\n" in out
-    assert len(seen) == calls
+    assert f"{field}: {shown}\n" in out
+    assert (built, sorted(asked)) == ([], ["is_very_ample", "is_zero_regular_acm"])
 
 
 def test_wild_evaluates_the_relation_block_once(capsys, monkeypatch):
@@ -558,7 +577,8 @@ def test_module_entry_point_runs_the_cli(tmp_path):
 
 
 def test_cli_import_loads_no_dataclasses_or_typing():
-    # -S: the interpreter's site module may import typing on its own
+    # -S: the interpreter's site module may import typing on its own; every annotation in the engine is
+    # evaluated at import, so no module needs __future__
     src = str(Path(__file__).parent.parent / "src")
     result = subprocess.run(
         [sys.executable, "-S", "-c", "import sys, delpezzo.cli; print(*sys.modules)"],
@@ -569,10 +589,43 @@ def test_cli_import_loads_no_dataclasses_or_typing():
     )
     assert result.returncode == 0, result.stderr
     assert "delpezzo.cli" in result.stdout.split()
-    assert {"dataclasses", "inspect", "typing"}.isdisjoint(result.stdout.split())
+    assert {"__future__", "dataclasses", "inspect", "typing"}.isdisjoint(result.stdout.split())
     # the engine runs on the standard library alone
     allowed = {"delpezzo", "__main__", *sys.stdlib_module_names}
     assert [name for name in result.stdout.split() if name.partition(".")[0] not in allowed] == []
+
+
+def test_warm_calls_keep_no_per_request_memory(capsys):
+    """A process that serves request after request holds no more memory for it once the caches are warm."""
+    # one class per surface: n/a very_ample on X0 and Q, n/a zero_regular (not ACM) on X2, X4, X5 and X6
+    classes = ["X0 2l", "X1 l-e1", "X2 2l-3e1", "X3 3l-2e1-e2", "X4 l+2e1", "X5 -l", "X6 3l-e1-e2-2e3", "Q h+m"]
+    argvs = [
+        *(("classify", *words.split(), "--format", fmt) for words in classes for fmt in ("text", "json")),
+        ("lines", "X6"),
+        ("table", "all"),
+        ("wild", "X6", "--rank", "7"),
+    ]
+
+    def serve(passes):
+        for _ in range(passes):
+            assert [main(list(argv)) for argv in argvs] == [0] * len(argvs)
+            capsys.readouterr()
+
+    def traced():
+        # CPython's method cache keeps a reference to up to 4096 attribute names, here argparse's fresh dest strings
+        (getattr(sys, "_clear_internal_caches", None) or sys._clear_type_cache)()
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+
+    serve(5)  # fills the per-surface caches
+    tracemalloc.start()
+    try:
+        before = traced()
+        serve(30)
+        grown = traced() - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 64 * 1024, f"{grown} bytes kept over {30 * len(argvs)} calls"
 
 
 # --- text output, byte for byte ------------------------------------------------------

@@ -426,10 +426,9 @@ def test_very_ample_examples():
 
 
 def test_very_ample_out_of_scope():
-    with pytest.raises(UnsupportedSurface):
-        is_very_ample(parse_divisor(X0, "l"))
-    with pytest.raises(UnsupportedSurface):
-        is_very_ample(parse_divisor(Q, "h+m"))
+    """The criterion is stated for blow-ups of 1..6 points only: None on the plane and the quadric."""
+    for surface, text in ((X0, "l"), (Q, "h+m")):
+        assert {is_very_ample(D) for D in [parse_divisor(surface, text), *positivity_box(surface)]} == {None}
 
 
 def test_smooth_member_examples():

@@ -330,8 +330,9 @@ def test_zero_regularity():
     e1 = parse_divisor(X1, "e1")
     assert not is_zero_regular_acm(e1)
     assert cohomology(e1 - 2 * X1.hyperplane) == (0, 0, h2_twist_minus_2(e1)) == (0, 0, 7)
-    with pytest.raises(PreconditionViolated):
-        is_zero_regular_acm(X3.hyperplane)
+    # 0-regularity is stated for initialized ACM classes only: None for any other class
+    assert is_zero_regular_acm(X3.hyperplane) is None
+    assert is_zero_regular_acm(parse_divisor(X6, "3l-e1-e2-2e3")) is None
 
 
 @pytest.mark.parametrize("surface", ALL_SURFACES, ids=str)
