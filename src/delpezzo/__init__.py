@@ -9,8 +9,6 @@ from .errors import (
     UnsupportedSurface,
 )
 from .picard import (
-    BLOWUP,
-    QUADRIC,
     SURFACE_NAMES,
     DivisorClass,
     SurfaceModel,
@@ -27,8 +25,6 @@ from .picard import (
 )
 
 __all__ = [
-    "BLOWUP",
-    "QUADRIC",
     "SURFACE_NAMES",
     "DivisorClass",
     "DivisorParseError",

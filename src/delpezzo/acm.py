@@ -25,7 +25,7 @@ from functools import lru_cache
 from operator import mul
 
 from .errors import InternalError
-from .picard import QUADRIC, DivisorClass, SurfaceModel
+from .picard import DivisorClass, SurfaceModel
 
 def _criterion(surface: SurfaceModel, coeffs: tuple[int, ...]) -> bool:
     d_h = sum(map(mul, coeffs, surface.degree_vector))
@@ -161,13 +161,11 @@ def closed_form_catalog(surface: SurfaceModel) -> list[AcmRecord]:
     eight classes, ah + bm of degree 2(a + b), each its own orbit (size 1) as
     the tail is the single coefficient of m.  No size comes from the scan.
     """
-    records = [AcmRecord((0,) * surface.rank, 0, 1)]
-    if surface.kind == QUADRIC:
+    r, records = surface.r, [AcmRecord((0,) * surface.rank, 0, 1)]
+    if r is None:
         rows = {v for b in range(4) for v in ((1, b), (b, 1))}
         records.extend(AcmRecord(v, 2 * sum(v), 1) for v in rows)
     else:
-        r = surface.r
-
         def add(a: int, b: tuple[int, ...], size: int) -> None:
             records.append(AcmRecord((a,) + tuple(sorted(-x for x in b)), 3 * a - sum(b), size))
 

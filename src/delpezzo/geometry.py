@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from .acm import coefficients_of_degree
 from .errors import InternalError
-from .picard import BLOWUP, DivisorClass, SurfaceModel, degree, euler_characteristic
+from .picard import DivisorClass, SurfaceModel, degree, euler_characteristic
 
 
 class LineClass(namedtuple("LineClass", "label divisor")):
@@ -59,7 +59,7 @@ def least_product(D: DivisorClass) -> int:
     3. On a dominant D (D.a >= 0 for every simple a), every L - e_r is a nonnegative sum of simple roots, so the
        least D.L is D.e_r = -c_r.
     """
-    if D.surface.kind != BLOWUP:
+    if D.surface.r is None:
         return min(D.coeffs)  # D.m and D.h
     a, *tail = D.coeffs
     if D.surface.r <= 2:
@@ -114,7 +114,7 @@ def is_very_ample(D: DivisorClass) -> bool | None:
     on X1; for r >= 2 each conic is a sum of two lines.  So least_product(D) > 0.
 
     None on the plane and the quadric, where the criterion is not stated."""
-    if D.surface.kind != BLOWUP or D.surface.r == 0:
+    if D.surface.r in (None, 0):
         return None
     return least_product(D) > 0
 

@@ -1,11 +1,11 @@
 """Exact integer model of the Picard lattice of a strong del Pezzo surface.
 
-A surface is either the blow-up of r <= 6 general points of the projective
-plane (degree 9 - r) or the smooth quadric P1 x P1 (degree 8).  Divisor
-classes are integer vectors in the standard basis (l, e1, ..., er),
-respectively (h, m), and every invariant (intersection number, degree,
-self-intersection, arithmetic genus, Euler characteristic) is computed in
-exact integer arithmetic.
+A surface is named by its point count r: an int from 0 to 6 for the blow-up
+of r general points of the projective plane (degree 9 - r), or None for the
+smooth quadric P1 x P1 (degree 8).  Divisor classes are integer vectors in
+the standard basis (l, e1, ..., er), respectively (h, m), and every
+invariant (intersection number, degree, self-intersection, arithmetic genus,
+Euler characteristic) is computed in exact integer arithmetic.
 
 Sign convention: a blow-up class is stored as a*l + sum(c_i * e_i).  The
 traditional presentation a*l - sum(b_i * e_i) therefore has c_i = -b_i.  The
@@ -19,9 +19,6 @@ from operator import mul
 
 from .errors import DivisorParseError, InternalError, SurfaceMismatch
 
-BLOWUP = "blowup"
-QUADRIC = "quadric"
-
 #: Surface names accepted on the command line and in golden-file names.
 SURFACE_NAMES = ("X0", "X1", "X2", "X3", "X4", "X5", "X6", "Q")
 
@@ -31,10 +28,11 @@ def _immutable(self, name, value=None):
 
 
 class SurfaceModel:
-    """A strong del Pezzo surface (``BlowUp`` of r points or the quadric) and its lattice.
+    """A strong del Pezzo surface and its lattice, named by its point count ``r``.
 
-    ``kind`` and ``r`` name the surface.  Everything else is derived from them
-    once, when the model is built, and every lattice operation reads it here:
+    ``r`` is an int from 0 to 6 for the blow-up of r general points of the
+    plane, or None for the quadric.  Everything else is derived from it once,
+    when the model is built, and every lattice operation reads it here:
 
     * ``gram``: the nonzero entries ``(i, j, value)`` of the Gram matrix in
       the standard basis, one per coordinate: ``l^2 = 1`` and ``e_i^2 = -1``
@@ -46,32 +44,27 @@ class SurfaceModel:
       ``symbols`` (every symbol of the divisor text grammar, with its vector).
     """
 
-    __slots__ = ("kind", "r", "rank", "name", "basis", "symbols", "gram", "canonical",
+    __slots__ = ("r", "rank", "name", "basis", "symbols", "gram", "canonical",
                  "hyperplane", "degree_vector", "degree")
     __setattr__ = __delattr__ = _immutable
 
-    def __init__(self, kind: str, r: int | None = None):
-        if kind == BLOWUP:
-            if r is None or not 0 <= r <= 6:
-                raise ValueError(f"blow-up point count must be 0..6, got {r}")
+    def __init__(self, r: int | None):
+        if r is None:
+            rank, name, basis = 2, "Q", ("h", "m")
+            gram = ((0, 1, 1), (1, 0, 1))
+            canonical = (-2, -2)
+        elif type(r) is int and 0 <= r <= 6:  # type, not isinstance: True is an int
             rank, name = r + 1, f"X{r}"
             basis = ("l",) + tuple(f"e{i}" for i in range(1, rank))
             gram = ((0, 0, 1),) + tuple((i, i, -1) for i in range(1, rank))
             canonical = (-3,) + (1,) * r
-        elif kind == QUADRIC:
-            if r is not None:
-                raise ValueError("the quadric has no blow-up point count")
-            rank, name, basis = 2, "Q", ("h", "m")
-            gram = ((0, 1, 1), (1, 0, 1))
-            canonical = (-2, -2)
         else:
-            raise ValueError(f"unknown surface kind {kind!r}")
+            raise ValueError(f"point count must be an int from 0 to 6, or None for the quadric; got {r!r}")
         vectors = [tuple(int(i == k) for i in range(rank)) for k in range(rank)]
         symbols = dict(zip(basis, vectors))
         if r == 1:  # section C0 = e1 and fibre f = l - e1 of the one-point blow-up
             symbols.update(C0=(0, 1), f=(1, -1))
         put = functools.partial(object.__setattr__, self)
-        put("kind", kind)
         put("r", r)
         put("rank", rank)
         put("name", name)
@@ -94,16 +87,16 @@ class SurfaceModel:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.kind, self.r) == (other.kind, other.r)
+        return self.r == other.r
 
     def __hash__(self) -> int:
-        return hash((self.kind, self.r))
+        return hash(self.r)
 
     def __repr__(self) -> str:
-        return f"SurfaceModel(kind={self.kind!r}, r={self.r!r})"
+        return f"SurfaceModel(r={self.r!r})"
 
     def __reduce__(self):
-        return SurfaceModel, (self.kind, self.r)
+        return SurfaceModel, (self.r,)
 
     def __str__(self) -> str:
         return self.name
@@ -111,12 +104,12 @@ class SurfaceModel:
 
 @functools.lru_cache(maxsize=None)
 def blow_up(r: int) -> SurfaceModel:
-    return SurfaceModel(BLOWUP, r)
+    return SurfaceModel(r)
 
 
 @functools.lru_cache(maxsize=None)
 def quadric() -> SurfaceModel:
-    return SurfaceModel(QUADRIC)
+    return SurfaceModel(None)
 
 
 def surface_from_name(text: str) -> SurfaceModel:

@@ -16,7 +16,6 @@ from collections import namedtuple
 from operator import mul
 
 from delpezzo import (
-    BLOWUP,
     DivisorClass,
     InternalError,
     PreconditionViolated,
@@ -168,7 +167,7 @@ _BASE_L_COEFF = (1, 1, 2, 2, 2, 3, 3)
 
 def alternative_base(surface):
     """The base-point-free basis D_0 = l, D_1 = l-e1, ..., D_r of Pic."""
-    if surface.kind != BLOWUP or not 2 <= surface.r <= 6:
+    if surface.r not in range(2, 7):
         raise UnsupportedSurface(f"alternative base needs a blow-up of 2..6 points, not {surface}")
     l, *e = units(surface)
     return BaseDecomposition(l, tuple(e), ()).base_divisors()
@@ -236,7 +235,7 @@ def decompose(D):
     D.L, ties broken by the canonical line order.
     """
     surface = D.surface
-    if surface.kind != BLOWUP or not 2 <= surface.r <= 6:
+    if surface.r not in range(2, 7):
         raise UnsupportedSurface(f"decomposition needs a blow-up of 2..6 points, not {surface}")
     r = surface.r
     lines = [L.divisor for L in enumerate_lines(surface)]

@@ -5,8 +5,6 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from delpezzo import (
-    BLOWUP,
-    QUADRIC,
     DivisorClass,
     InternalError,
     SurfaceModel,
@@ -175,7 +173,7 @@ def test_degree_count_table_builds_no_class(monkeypatch):
     built = []
     post_init = DivisorClass.__post_init__
     monkeypatch.setattr(DivisorClass, "__post_init__", lambda D: built.append(D) or post_init(D))
-    surfaces = [SurfaceModel(BLOWUP, r) for r in range(7)] + [SurfaceModel(QUADRIC)]
+    surfaces = [SurfaceModel(r) for r in (*range(7), None)]
     assert len(built) == 2 * len(surfaces)
     acm.orbits_of_degree.cache_clear()
     tables = [degree_count_table(s) for s in surfaces]

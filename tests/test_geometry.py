@@ -52,7 +52,7 @@ def comb(n, k):
 def test_line_counts(surface):
     lines = enumerate_lines(surface)
     assert len(lines) == LINE_COUNTS[surface.name]
-    if surface.kind == "blowup":
+    if surface.r is not None:
         r = surface.r
         assert len(lines) == r + comb(r, 2) + comb(r, 5)
 
@@ -75,7 +75,7 @@ def test_lines_on_two_point_blowup():
 def formula_lines(surface):
     """The lines written out, in the order E1..Er < F12 < F13 < ... < G/G1..G6:
     e_i, l - e_i - e_j, 2l - e1 - ... - e5 on X5 and 2l minus five of e1..e6 on X6."""
-    if surface.kind == "quadric" or surface.r == 0:
+    if surface.r in (None, 0):
         return []
     l, *e = units(surface)
     r = surface.r
@@ -188,7 +188,7 @@ def line_monoid_member(D):
 def effective_by_oracle(D):
     """Closed forms on the quadric, the plane and X1; the line-monoid search for r >= 2."""
     surface = D.surface
-    if surface.kind == "quadric":
+    if surface.r is None:
         return D.coeffs[0] >= 0 and D.coeffs[1] >= 0
     if surface.r == 0:
         return D.coeffs[0] >= 0
@@ -202,7 +202,7 @@ def oracle_sample(surface):
     """Small classes: all of [-5, 5]^2 on the quadric; on X_r, sorted multiplicity
     vectors in [-2, 3] with l-coefficient in [-2, 8 - r] and degree in [-3, 9]
     (the search's cost grows fast with the l-coefficient on X5 and X6)."""
-    if surface.kind == "quadric":
+    if surface.r is None:
         return [DivisorClass(surface, (a, b)) for a in range(-5, 6) for b in range(-5, 6)]
     r = surface.r
     sample = (
@@ -238,7 +238,7 @@ def test_effectivity_beyond_the_search():
 
 def former_cone_generators(surface):
     """l on X0, e1 and l-e1 on X1, h and m on the quadric, the (-1)-lines for r >= 2."""
-    if surface.kind == "quadric" or surface.r == 0:
+    if surface.r in (None, 0):
         return units(surface)
     if surface.r == 1:
         l, e1 = units(surface)
@@ -320,7 +320,7 @@ def test_positivity_agrees_with_the_former_full_rows(surface):
     effective = [is_effective(D) for D in sample]
     assert effective == [all(p >= 0 for p in former_products(D, (2, 3))) for D in sample]
     assert any(effective) and not all(effective)
-    if surface.kind == "blowup" and surface.r >= 1:
+    if surface.r not in (None, 0):
         ample = [is_very_ample(D) for D in sample]
         assert ample == [all(p > 0 for p in former_products(D, (1, 2))) for D in sample]
         assert any(ample) and not all(ample)
@@ -396,7 +396,7 @@ def test_moving_part_is_the_zariski_decomposition_on_the_box(surface):
         if not D.is_zero:
             assert has_smooth_nonline_member(D) == (P == D)
     assert effective > 0
-    assert (with_fixed_part > 0) == (surface.kind == "blowup" and surface.r >= 1)  # X0 and Q have no lines
+    assert (with_fixed_part > 0) == (surface.r not in (None, 0))  # X0 and Q have no lines
 
 
 @given(data=st.data())

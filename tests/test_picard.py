@@ -1,4 +1,6 @@
 import pickle
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -87,7 +89,7 @@ def test_pairing_symmetric_bilinear(surface, data):
 
 def test_pairing_signature_is_diagonal():
     for surface in ALL_SURFACES:
-        if surface.kind == "quadric":
+        if surface.r is None:
             continue
         rank = surface.rank
         basis = [DivisorClass(surface, [1 if k == i else 0 for k in range(rank)]) for i in range(rank)]
@@ -327,12 +329,13 @@ def test_divisor_class_never_equals_a_tuple():
 
 
 def test_surface_equality_and_hash():
-    assert blow_up(3) == SurfaceModel("blowup", 3)
-    assert hash(blow_up(3)) == hash(SurfaceModel("blowup", 3))
-    assert quadric() == SurfaceModel("quadric")
+    for surface in ALL_SURFACES:
+        fresh = SurfaceModel(surface.r)
+        assert fresh is not surface and fresh == surface and hash(fresh) == hash(surface)
+    assert len(set(ALL_SURFACES)) == 8
     assert blow_up(3) != blow_up(4)
     assert blow_up(2) != quadric()
-    assert blow_up(3) != ("blowup", 3)
+    assert blow_up(3) != 3 and quadric() != None  # hashed on r alone, yet equal to no bare r
 
 
 def test_value_types_are_immutable():
@@ -374,34 +377,36 @@ def test_a_list_of_coefficients_is_stored_as_a_tuple():
     assert D.coeffs == (1, 0) and str(D) == "l" and D == E
 
 
-@pytest.mark.parametrize(
-    "args, message",
-    [
-        (("blowup", 7), "blow-up point count must be 0..6, got 7"),
-        (("blowup",), "blow-up point count must be 0..6, got None"),
-        (("quadric", 0), "the quadric has no blow-up point count"),
-        (("cone",), "unknown surface kind 'cone'"),
-    ],
-)
-def test_surface_validation_messages(args, message):
-    with pytest.raises(ValueError) as err:
-        SurfaceModel(*args)
-    assert str(err.value) == message
+def test_point_counts_build_the_eight_surfaces():
+    """0..6 build X0..X6 and None the quadric, each with the name, rank and degree its point count gives."""
+    built = [SurfaceModel(r) for r in (*range(7), None)]
+    assert [S.name for S in built] == [f"X{r}" for r in range(7)] + ["Q"]
+    assert [(S.rank, S.degree) for S in built] == [(r + 1, 9 - r) for r in range(7)] + [(2, 8)]
+    assert built == ALL_SURFACES
+
+
+@pytest.mark.parametrize("r", [True, 3.0, "3", 7, -1])
+def test_surface_validation_messages(r):
+    """One message for every bad point count; True and 3.0 equal 1 and 3 but are not ints, also to
+    blow_up, whose cache already holds X1 and X3."""
+    for build in (SurfaceModel, blow_up):
+        with pytest.raises(ValueError) as err:
+            build(r)
+        assert str(err.value) == f"point count must be an int from 0 to 6, or None for the quadric; got {r!r}"
 
 
 def test_value_type_reprs():
-    assert repr(X3) == "SurfaceModel(kind='blowup', r=3)"
-    assert repr(Q) == "SurfaceModel(kind='quadric', r=None)"
-    assert repr(DivisorClass(X2, (1, -1, 0))) == (
-        "DivisorClass(surface=SurfaceModel(kind='blowup', r=2), coeffs=(1, -1, 0))"
-    )
+    assert repr(X3) == "SurfaceModel(r=3)"
+    assert repr(Q) == "SurfaceModel(r=None)"
+    assert repr(DivisorClass(X2, (1, -1, 0))) == "DivisorClass(surface=SurfaceModel(r=2), coeffs=(1, -1, 0))"
     assert repr(to_ruled(DivisorClass(X1, (2, -1)))) == "RuledCoords(c0=1, f=2)"
 
 
 def test_value_types_pickle():
     D = DivisorClass(X6, (5, -2, -2, -2, -2, -2, -2))
     assert pickle.loads(pickle.dumps(D)) == D
-    assert pickle.loads(pickle.dumps(Q)) == Q
+    for surface in ALL_SURFACES:
+        assert pickle.loads(pickle.dumps(surface)) == surface
 
 
 def test_post_init_runs_once_per_construction(monkeypatch):
@@ -425,3 +430,12 @@ def test_post_init_runs_once_per_construction(monkeypatch):
     with pytest.raises(ValueError):
         DivisorClass(X2, (1,))
     assert len(calls) == 6
+
+
+def test_readme_library_example_prints_what_it_shows(capsys):
+    """README's "Library use" example, run as written, prints the output block that follows it."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    code, shown = re.search(r"```python\n(.*?)```.*?```text\n(.*?)```", section, re.S).groups()
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out == shown
