@@ -3,7 +3,7 @@
 
 import argparse
 
-from delpezzo import blow_up, format_divisor, intersect
+from delpezzo import SurfaceModel, format_divisor, intersect
 from delpezzo.wild import family_plan, find_wild_pair, find_wild_pairs
 
 
@@ -12,7 +12,7 @@ def main() -> None:
     parser.add_argument("--max-rank", type=int, default=12)
     args = parser.parse_args()
     for r in (3, 4, 5, 6):
-        surface = blow_up(r)
+        surface = SurfaceModel(r)
         pair = find_wild_pair(surface)
         hits = find_wild_pairs(surface)
         print(

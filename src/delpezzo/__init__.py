@@ -13,13 +13,11 @@ from .picard import (
     DivisorClass,
     SurfaceModel,
     arithmetic_genus,
-    blow_up,
     degree,
     euler_characteristic,
     format_divisor,
     intersect,
     parse_divisor,
-    quadric,
     self_intersection,
     surface_from_name,
 )
@@ -35,13 +33,11 @@ __all__ = [
     "SurfaceModel",
     "UnsupportedSurface",
     "arithmetic_genus",
-    "blow_up",
     "degree",
     "euler_characteristic",
     "format_divisor",
     "intersect",
     "parse_divisor",
-    "quadric",
     "self_intersection",
     "surface_from_name",
 ]

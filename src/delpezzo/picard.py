@@ -2,10 +2,11 @@
 
 A surface is named by its point count r: an int from 0 to 6 for the blow-up
 of r general points of the projective plane (degree 9 - r), or None for the
-smooth quadric P1 x P1 (degree 8).  Divisor classes are integer vectors in
-the standard basis (l, e1, ..., er), respectively (h, m), and every
-invariant (intersection number, degree, self-intersection, arithmetic genus,
-Euler characteristic) is computed in exact integer arithmetic.
+smooth quadric P1 x P1 (degree 8).  Each surface has one model, built once
+per point count, and a model equals only itself.  Divisor classes are integer
+vectors in the standard basis (l, e1, ..., er), respectively (h, m), and
+every invariant (intersection number, degree, self-intersection, arithmetic
+genus, Euler characteristic) is computed in exact integer arithmetic.
 
 Sign convention: a blow-up class is stored as a*l + sum(c_i * e_i).  The
 traditional presentation a*l - sum(b_i * e_i) therefore has c_i = -b_i.  The
@@ -22,6 +23,9 @@ from .errors import DivisorParseError, InternalError, SurfaceMismatch
 #: Surface names accepted on the command line and in golden-file names.
 SURFACE_NAMES = ("X0", "X1", "X2", "X3", "X4", "X5", "X6", "Q")
 
+#: The one model of each point count, stored by ``SurfaceModel(r)`` when it first builds it.
+_models: dict = {}
+
 
 def _immutable(self, name, value=None):
     raise AttributeError(f"cannot assign to or delete field {name!r} of {type(self).__name__}")
@@ -31,8 +35,11 @@ class SurfaceModel:
     """A strong del Pezzo surface and its lattice, named by its point count ``r``.
 
     ``r`` is an int from 0 to 6 for the blow-up of r general points of the
-    plane, or None for the quadric.  Everything else is derived from it once,
-    when the model is built, and every lattice operation reads it here:
+    plane, or None for the quadric.  ``SurfaceModel(r)`` builds the model of r
+    on its first call and returns that same object ever after, also through
+    pickle and copy, so a model equals only itself.  Everything else is
+    derived from r when the model is built, and every lattice operation reads
+    it here:
 
     * ``gram``: the nonzero entries ``(i, j, value)`` of the Gram matrix in
       the standard basis, one per coordinate: ``l^2 = 1`` and ``e_i^2 = -1``
@@ -48,22 +55,25 @@ class SurfaceModel:
                  "hyperplane", "degree_vector", "degree")
     __setattr__ = __delattr__ = _immutable
 
-    def __init__(self, r: int | None):
+    def __new__(cls, r: int | None):
+        if r is not None and not (type(r) is int and 0 <= r <= 6):  # type, not isinstance: True is an int
+            raise ValueError(f"point count must be an int from 0 to 6, or None for the quadric; got {r!r}")
+        if r in _models:  # looked up only after the check: True == 1 and 3.0 == 3 hash alike
+            return _models[r]
         if r is None:
             rank, name, basis = 2, "Q", ("h", "m")
             gram = ((0, 1, 1), (1, 0, 1))
             canonical = (-2, -2)
-        elif type(r) is int and 0 <= r <= 6:  # type, not isinstance: True is an int
+        else:
             rank, name = r + 1, f"X{r}"
             basis = ("l",) + tuple(f"e{i}" for i in range(1, rank))
             gram = ((0, 0, 1),) + tuple((i, i, -1) for i in range(1, rank))
             canonical = (-3,) + (1,) * r
-        else:
-            raise ValueError(f"point count must be an int from 0 to 6, or None for the quadric; got {r!r}")
         vectors = [tuple(int(i == k) for i in range(rank)) for k in range(rank)]
         symbols = dict(zip(basis, vectors))
         if r == 1:  # section C0 = e1 and fibre f = l - e1 of the one-point blow-up
             symbols.update(C0=(0, 1), f=(1, -1))
+        self = object.__new__(cls)
         put = functools.partial(object.__setattr__, self)
         put("r", r)
         put("rank", rank)
@@ -76,6 +86,7 @@ class SurfaceModel:
         H = self.hyperplane.coeffs
         put("degree_vector", tuple(self.pair(v, H) for v in vectors))
         put("degree", self.pair(H, H))
+        return _models.setdefault(r, self)  # two threads building r at once both return the first stored
 
     def pair(self, u: tuple[int, ...], v: tuple[int, ...]) -> int:
         """Intersection number of two coefficient vectors, in O(rank)."""
@@ -83,14 +94,6 @@ class SurfaceModel:
         for i, j, value in self.gram:
             total += value * u[i] * v[j]
         return total
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.r == other.r
-
-    def __hash__(self) -> int:
-        return hash(self.r)
 
     def __repr__(self) -> str:
         return f"SurfaceModel(r={self.r!r})"
@@ -102,25 +105,15 @@ class SurfaceModel:
         return self.name
 
 
-@functools.lru_cache(maxsize=None)
-def blow_up(r: int) -> SurfaceModel:
-    return SurfaceModel(r)
-
-
-@functools.lru_cache(maxsize=None)
-def quadric() -> SurfaceModel:
-    return SurfaceModel(None)
-
-
 def surface_from_name(text: str) -> SurfaceModel:
     """Parse ``P2``, ``X0`` .. ``X6`` or ``Q`` (``P2`` is a synonym of ``X0``)."""
     t = text.strip().upper()
     if t == "P2":
-        return blow_up(0)
+        return SurfaceModel(0)
     if t == "Q":
-        return quadric()
+        return SurfaceModel(None)
     if len(t) == 2 and t[0] == "X" and t[1] in "0123456":
-        return blow_up(int(t[1]))
+        return SurfaceModel(int(t[1]))
     raise ValueError(f"unknown surface {text!r} (expected P2, X0..X6 or Q)")
 
 
@@ -147,7 +140,7 @@ class DivisorClass:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.surface, self.coeffs) == (other.surface, other.coeffs)
+        return self.surface is other.surface and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
         return hash((self.surface, self.coeffs))
@@ -163,7 +156,7 @@ class DivisorClass:
         return all(c == 0 for c in self.coeffs)
 
     def _require_same_surface(self, other: "DivisorClass") -> None:
-        if self.surface != other.surface:
+        if self.surface is not other.surface:
             raise SurfaceMismatch(
                 f"classes live on different surfaces: {self.surface} vs {other.surface}"
             )

@@ -20,9 +20,9 @@ from delpezzo import (
     InternalError,
     PreconditionViolated,
     SurfaceMismatch,
+    SurfaceModel,
     UnsupportedSurface,
     arithmetic_genus,
-    blow_up,
     degree,
     intersect,
     parse_divisor,
@@ -148,7 +148,7 @@ class RuledCoords(namedtuple("RuledCoords", "c0 f")):
 
 
 def to_ruled(D):
-    if D.surface != blow_up(1):
+    if D.surface is not SurfaceModel(1):
         raise SurfaceMismatch("the C0,f basis exists only on the one-point blow-up")
     a, c1 = D.coeffs
     return RuledCoords(c0=a + c1, f=a)
@@ -156,7 +156,7 @@ def to_ruled(D):
 
 def from_ruled(coords):
     """The class a*C0 + b*f, read by the divisor grammar's X1 symbols."""
-    return parse_divisor(blow_up(1), f"{coords.c0}C0{coords.f:+d}f")
+    return parse_divisor(SurfaceModel(1), f"{coords.c0}C0{coords.f:+d}f")
 
 
 # --- alternative base and decomposition ---------------------------------------------

@@ -10,12 +10,11 @@ import random
 
 from delpezzo import (
     DivisorClass,
+    SurfaceModel,
     arithmetic_genus,
-    blow_up,
     degree,
     intersect,
     parse_divisor,
-    quadric,
     self_intersection,
 )
 from delpezzo.acm import (
@@ -45,8 +44,8 @@ from paper_values import (
 )
 from test_acm import expand_orbit
 
-BLOWUPS = [blow_up(r) for r in range(7)]
-ALL_SURFACES = BLOWUPS + [quadric()]
+BLOWUPS = [SurfaceModel(r) for r in range(7)]
+ALL_SURFACES = BLOWUPS + [SurfaceModel(None)]
 
 
 def criterion(number, description):
@@ -97,7 +96,7 @@ def test_oracle_equivalence():
 
 @criterion(5, "orbit counts")
 def test_orbit_counts():
-    X6 = blow_up(6)
+    X6 = SurfaceModel(6)
     by_text = {str(DivisorClass(X6, rec.canonical)): rec.orbit_count for rec in closed_form_catalog(X6)}
     assert by_text["4l-2e1-2e2-2e3-e4-e5-e6"] == 20
     assert by_text["3l-2e1-e2-e3-e4-e5"] == 30  # r * C(r-1, 4) at r = 6
@@ -113,7 +112,7 @@ def test_orbit_counts():
 def test_wild_pairs():
     expected_products = {"X3": 7, "X4": 6, "X5": 5, "X6": 4}
     for r in (3, 4, 5, 6):
-        surface = blow_up(r)
+        surface = SurfaceModel(r)
         pair = find_wild_pair(surface)  # must succeed
         assert intersect(pair.C, pair.D) == 1 + surface.degree
         c_text, d_text, product = WILD_TABLE[surface.name]
@@ -129,7 +128,7 @@ def test_wild_pairs():
 @criterion(7, "family dimensions for ranks 2..50")
 def test_family_dimensions():
     for r in (3, 4, 5, 6):
-        surface = blow_up(r)
+        surface = SurfaceModel(r)
         pair = find_wild_pair(surface)
         assert [degree(X) for X in pair] == [surface.degree] * 4  # every plan has slope H^2
         for n in range(2, 51):
@@ -190,7 +189,7 @@ def test_property_suite():
 
     # decompose reconstruction on 1000 random divisors
     for r in (2, 3, 4, 5, 6):
-        surface = blow_up(r)
+        surface = SurfaceModel(r)
         for _ in range(200):
             D = DivisorClass(surface, [rng.randint(-10, 10) for _ in range(surface.rank)])
             assert decompose(D).reconstruct() == D
@@ -202,7 +201,7 @@ def test_property_suite():
                 assert is_effective(D)
     # and the uncapped form over the enumeration box (degree may exceed H^2)
     for r in (2, 3, 4, 5, 6):
-        surface = blow_up(r)
+        surface = SurfaceModel(r)
         for a in range(0, 6):
             for b in itertools.combinations_with_replacement(range(3, -2, -1), r):
                 D = DivisorClass(surface, (a, *(-x for x in b)))
@@ -214,7 +213,7 @@ def test_property_suite():
         for f in range(-10, 11):
             coords = RuledCoords(c0, f)
             assert to_ruled(from_ruled(coords)) == coords
-    X1 = blow_up(1)
+    X1 = SurfaceModel(1)
     for a in range(-10, 11):
         for c1 in range(-10, 11):
             D = DivisorClass(X1, (a, c1))

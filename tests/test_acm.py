@@ -9,11 +9,9 @@ from delpezzo import (
     InternalError,
     SurfaceModel,
     arithmetic_genus,
-    blow_up,
     degree,
     intersect,
     parse_divisor,
-    quadric,
 )
 from delpezzo import acm
 from delpezzo.acm import (
@@ -35,9 +33,9 @@ from paper_values import (
     h2_twist_minus_2,
 )
 
-X0, X1, X2, X3, X6 = (blow_up(r) for r in (0, 1, 2, 3, 6))
-Q = quadric()
-ALL_SURFACES = [blow_up(r) for r in range(7)] + [Q]
+X0, X1, X2, X3, X6 = (SurfaceModel(r) for r in (0, 1, 2, 3, 6))
+Q = SurfaceModel(None)
+ALL_SURFACES = [SurfaceModel(r) for r in range(7)] + [Q]
 
 
 def sort_key(D):
@@ -169,15 +167,16 @@ def test_both_producers_write_representatives_as_coefficient_tuples(surface):
 
 
 def test_degree_count_table_builds_no_class(monkeypatch):
-    """Only the surface models build classes: their K and H."""
+    """Only the surface models build classes, their K and H, once per surface: a repeat
+    ``SurfaceModel(r)`` builds none, and neither does the table."""
     built = []
     post_init = DivisorClass.__post_init__
     monkeypatch.setattr(DivisorClass, "__post_init__", lambda D: built.append(D) or post_init(D))
     surfaces = [SurfaceModel(r) for r in (*range(7), None)]
-    assert len(built) == 2 * len(surfaces)
+    assert surfaces == ALL_SURFACES and built == []
     acm.orbits_of_degree.cache_clear()
     tables = [degree_count_table(s) for s in surfaces]
-    assert len(built) == 2 * len(surfaces)
+    assert built == []
     assert [sum(t.values()) for t in tables] == [TOTALS[s.name] for s in surfaces]
 
 
@@ -245,7 +244,7 @@ def test_catalog_is_a_union_of_weyl_orbits(r):
     simple reflections, which fix K and hence H: the catalog is closed under
     them and splits into 10, 8, 6, 5 and 4 W-orbits on X2..X6 (X6: the zero
     class, the 27 lines, 27 conic classes and 72 twisted cubics)."""
-    surface = blow_up(r)
+    surface = SurfaceModel(r)
     roots = simple_roots(surface)
     assert all(surface.pair(alpha, alpha) == -2 for alpha in roots)
     catalog = {D.coeffs for D in enumerate_acm(surface)}
@@ -330,7 +329,7 @@ def expand_orbit(surface, record):
 
 @pytest.mark.parametrize("r", [*range(7), "Q"])
 def test_catalog_equals_enumeration(r):
-    surface = Q if r == "Q" else blow_up(r)
+    surface = Q if r == "Q" else SurfaceModel(r)
     expanded = sorted(
         (cls for record in closed_form_catalog(surface) for cls in expand_orbit(surface, record)),
         key=sort_key,
@@ -350,7 +349,7 @@ def test_catalog_rows_spot_checks():
 
 @pytest.mark.parametrize("r", [*range(7), "Q"])
 def test_orbit_counts_sum_to_degree_table(r):
-    surface = Q if r == "Q" else blow_up(r)
+    surface = Q if r == "Q" else SurfaceModel(r)
     sums: dict[int, int] = {}
     for rec in closed_form_catalog(surface):
         sums[rec.degree] = sums.get(rec.degree, 0) + rec.orbit_count

@@ -11,14 +11,13 @@ from delpezzo import (
     DivisorClass,
     InternalError,
     PreconditionViolated,
+    SurfaceModel,
     UnsupportedSurface,
     arithmetic_genus,
-    blow_up,
     degree,
     euler_characteristic,
     intersect,
     parse_divisor,
-    quadric,
     self_intersection,
 )
 from delpezzo import geometry
@@ -34,9 +33,9 @@ from paper_values import (
     units,
 )
 
-X0, X1, X2, X3, X5, X6 = (blow_up(r) for r in (0, 1, 2, 3, 5, 6))
-Q = quadric()
-ALL_SURFACES = [blow_up(r) for r in range(7)] + [Q]
+X0, X1, X2, X3, X5, X6 = (SurfaceModel(r) for r in (0, 1, 2, 3, 5, 6))
+Q = SurfaceModel(None)
+ALL_SURFACES = [SurfaceModel(r) for r in range(7)] + [Q]
 
 
 def comb(n, k):
@@ -139,7 +138,7 @@ def test_effectivity_monoid_cases():
 @given(data=st.data())
 def test_effectivity_lemma_consistency(r, data):
     # D^2 = D.H - 2 and D.H > 0 give chi(D) = D.H > 0 and h^2(D) = h^0(K - D) = 0, so D is effective
-    surface = blow_up(r)
+    surface = SurfaceModel(r)
     a = data.draw(st.integers(0, 5))
     b = data.draw(st.tuples(*([st.integers(-1, 3)] * r)))
     D = DivisorClass(surface, (a, *(-x for x in b)))
@@ -252,7 +251,7 @@ def test_effectivity_and_very_ampleness_agree_with_the_former_rules(r):
     the very-ample rule (D.G > 0 for every generator G of the effective cone), on sorted multiplicity vectors
     in [-4, 5] with l-coefficient in [-3, 15] and degree in [-3, 9]: the band along the boundary of the
     effective cone, beyond the l-coefficient 8 - r that the line-monoid search reaches."""
-    surface = blow_up(r)
+    surface = SurfaceModel(r)
     sample = [
         DivisorClass(surface, (a, *(-x for x in b)))
         for a in range(-3, 16)
@@ -346,7 +345,7 @@ def simple_root_coefficients(v):
 @pytest.mark.parametrize("r", [3, 4, 5, 6])
 def test_every_line_minus_e_r_is_a_nonnegative_sum_of_simple_roots(r):
     """Step 3 of least_product's argument: on a dominant class every line meets it at least as much as e_r."""
-    surface = blow_up(r)
+    surface = SurfaceModel(r)
     roots = [parse_divisor(surface, "l-e1-e2-e3")] + [parse_divisor(surface, f"e{i}-e{i + 1}") for i in range(1, r)]
     e_r = parse_divisor(surface, f"e{r}")
     for L in enumerate_lines(surface):
@@ -357,7 +356,7 @@ def test_every_line_minus_e_r_is_a_nonnegative_sum_of_simple_roots(r):
 
 @given(data=st.data())
 def test_least_product_is_invariant_under_the_simple_reflections(data):
-    surface = data.draw(st.sampled_from([blow_up(r) for r in range(3, 7)]), label="surface")
+    surface = data.draw(st.sampled_from([SurfaceModel(r) for r in range(3, 7)]), label="surface")
     scale = data.draw(st.sampled_from([1, 10**100]), label="scale")
     a, *tail = (scale * x for x in data.draw(st.tuples(*[st.integers(-9, 9)] * surface.rank)))
     D = DivisorClass(surface, (a, *tail))
@@ -401,7 +400,7 @@ def test_moving_part_is_the_zariski_decomposition_on_the_box(surface):
 
 @given(data=st.data())
 def test_permuting_the_tail_changes_no_verdict(data):
-    surface = data.draw(st.sampled_from([blow_up(r) for r in range(1, 7)]), label="surface")
+    surface = data.draw(st.sampled_from([SurfaceModel(r) for r in range(1, 7)]), label="surface")
     scale = data.draw(st.sampled_from([1, 10**100]), label="scale")
     coeffs = [scale * x for x in data.draw(st.tuples(st.integers(-2, 12), *[st.integers(-4, 3)] * surface.r))]
     tail = data.draw(st.permutations(coeffs[1:]), label="tail")
@@ -422,7 +421,7 @@ def test_very_ample_examples():
     assert not is_very_ample(parse_divisor(X1, "f"))
     assert not is_very_ample(parse_divisor(X2, "l-e1-e2"))
     for r in range(1, 7):
-        assert is_very_ample(blow_up(r).hyperplane)
+        assert is_very_ample(SurfaceModel(r).hyperplane)
 
 
 def test_very_ample_out_of_scope():
@@ -448,7 +447,7 @@ def test_smooth_member_preconditions():
 @pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
 @given(data=st.data())
 def test_very_ample_implies_smooth_member(r, data):
-    surface = blow_up(r)
+    surface = SurfaceModel(r)
     D = DivisorClass(surface, data.draw(st.tuples(*([st.integers(-6, 6)] * surface.rank))))
     if is_very_ample(D):
         assert has_smooth_nonline_member(D)
@@ -511,7 +510,7 @@ def test_h0_agrees_with_plane_interpolation():
     rng = random.Random(2010)
     checked = 0
     for r in range(1, 7):
-        surface = blow_up(r)
+        surface = SurfaceModel(r)
         points = [(rng.randrange(PRIME), rng.randrange(PRIME)) for _ in range(r)]
         for a in range(-1, 5):
             for tail in itertools.combinations_with_replacement(range(-3, 2), r):
@@ -594,13 +593,13 @@ def test_alternative_base_last_entry_is_h_on_x6():
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
 def test_alternative_base_change_is_unimodular(r):
-    base = alternative_base(blow_up(r))
+    base = alternative_base(SurfaceModel(r))
     assert abs(_det([D.coeffs for D in base])) == 1
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
 def test_alternative_base_effective_and_nef(r):
-    for D in alternative_base(blow_up(r)):
+    for D in alternative_base(SurfaceModel(r)):
         assert is_effective(D)
         assert has_smooth_nonline_member(D)  # base-point free, in particular
 
@@ -633,7 +632,7 @@ def test_decompose_uses_minimising_lines_for_r5():
 @pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
 @given(data=st.data())
 def test_decompose_reconstruction(r, data):
-    surface = blow_up(r)
+    surface = SurfaceModel(r)
     D = DivisorClass(surface, data.draw(st.tuples(*([st.integers(-10, 10)] * surface.rank))))
     dec = decompose(D)
     assert dec.reconstruct() == D
@@ -672,7 +671,7 @@ def former_complete_disjoint(chosen, pool, want):
 
 @pytest.mark.parametrize("r", sorted(CUBIC_COUNTS))
 def test_each_twisted_cubic_is_the_line_class_of_its_frame(r):
-    surface = blow_up(r)
+    surface = SurfaceModel(r)
     lines = [L.divisor for L in enumerate_lines(surface)]
     cubics = classes_of_degree(surface, 3)
     assert len(cubics) == CUBIC_COUNTS[r]
@@ -689,7 +688,7 @@ def test_every_disjoint_pair_of_lines_lies_in_a_frame(r, ordered_pairs):
     """The cubics orthogonal to a disjoint pair are those of the surface the
     pair contracts to, X(r-2); the one whose other lines come first, which
     decompose picks, is the depth-first completion."""
-    surface = blow_up(r)
+    surface = SurfaceModel(r)
     lines = [L.divisor for L in enumerate_lines(surface)]
     frames = [[k for k, L in enumerate(lines) if intersect(L, N) == 0] for N in classes_of_degree(surface, 3)]
     pairs = [(i, j) for i, j in itertools.permutations(range(len(lines)), 2) if intersect(lines[i], lines[j]) == 0]

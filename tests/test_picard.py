@@ -1,33 +1,36 @@
+import copy
 import pickle
 import re
+import sys
+import threading
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from delpezzo import (
+    SURFACE_NAMES,
     DivisorClass,
     DivisorParseError,
     SurfaceMismatch,
     SurfaceModel,
     arithmetic_genus,
-    blow_up,
     degree,
     euler_characteristic,
     format_divisor,
     intersect,
     parse_divisor,
-    quadric,
     self_intersection,
     surface_from_name,
 )
+from delpezzo import picard
 
 from paper_values import RuledCoords, from_ruled, to_ruled
 
-ALL_SURFACES = [blow_up(r) for r in range(7)] + [quadric()]
+ALL_SURFACES = [SurfaceModel(r) for r in range(7)] + [SurfaceModel(None)]
 
-X0, X1, X2, X3, X6 = blow_up(0), blow_up(1), blow_up(2), blow_up(3), blow_up(6)
-Q = quadric()
+X0, X1, X2, X3, X6 = (SurfaceModel(r) for r in (0, 1, 2, 3, 6))
+Q = SurfaceModel(None)
 
 
 def vectors(surface, bound=10):
@@ -299,7 +302,7 @@ def test_format_parse_round_trip(surface, data):
 
 def test_surface_names():
     assert surface_from_name("P2") == X0
-    assert surface_from_name("x4") == blow_up(4)
+    assert surface_from_name("x4") == SurfaceModel(4)
     assert surface_from_name("Q") == Q
     for name in ("X9", "X²", "X٣"):
         with pytest.raises(ValueError):
@@ -329,13 +332,41 @@ def test_divisor_class_never_equals_a_tuple():
 
 
 def test_surface_equality_and_hash():
-    for surface in ALL_SURFACES:
-        fresh = SurfaceModel(surface.r)
-        assert fresh is not surface and fresh == surface and hash(fresh) == hash(surface)
+    """One model per point count: a second call, the name, pickle and both copies return the same object."""
+    for surface, name in zip(ALL_SURFACES, SURFACE_NAMES):
+        assert SurfaceModel(surface.r) is surface
+        assert surface_from_name(name) is surface
+        assert pickle.loads(pickle.dumps(surface)) is surface
+        assert copy.copy(surface) is surface and copy.deepcopy(surface) is surface
     assert len(set(ALL_SURFACES)) == 8
-    assert blow_up(3) != blow_up(4)
-    assert blow_up(2) != quadric()
-    assert blow_up(3) != 3 and quadric() != None  # hashed on r alone, yet equal to no bare r
+    assert SurfaceModel(3) != SurfaceModel(4)
+    assert SurfaceModel(2) != SurfaceModel(None)
+    assert SurfaceModel(3) != 3 and SurfaceModel(None) != None  # equal to no bare r
+
+
+def test_concurrent_first_calls_return_one_model(monkeypatch):
+    """Threads that build the same surfaces at once, from an empty store, all get the one model stored."""
+    monkeypatch.setattr(picard, "_models", {})
+    barrier = threading.Barrier(8)
+    seen = []
+
+    def build():
+        barrier.wait(timeout=10)
+        seen.append([SurfaceModel(r) for r in (*range(7), None)])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads) and len(seen) == 8
+    stored = [picard._models[r] for r in (*range(7), None)]
+    assert all(a is b for models in seen for a, b in zip(models, stored, strict=True))
 
 
 def test_value_types_are_immutable():
@@ -387,12 +418,12 @@ def test_point_counts_build_the_eight_surfaces():
 
 @pytest.mark.parametrize("r", [True, 3.0, "3", 7, -1])
 def test_surface_validation_messages(r):
-    """One message for every bad point count; True and 3.0 equal 1 and 3 but are not ints, also to
-    blow_up, whose cache already holds X1 and X3."""
-    for build in (SurfaceModel, blow_up):
-        with pytest.raises(ValueError) as err:
-            build(r)
-        assert str(err.value) == f"point count must be an int from 0 to 6, or None for the quadric; got {r!r}"
+    """One message for every bad point count; True and 3.0 equal 1 and 3 but are not ints, also once
+    the models of X1 and X3 exist."""
+    assert X1 is SurfaceModel(1) and X3 is SurfaceModel(3)
+    with pytest.raises(ValueError) as err:
+        SurfaceModel(r)
+    assert str(err.value) == f"point count must be an int from 0 to 6, or None for the quadric; got {r!r}"
 
 
 def test_value_type_reprs():
@@ -405,8 +436,6 @@ def test_value_type_reprs():
 def test_value_types_pickle():
     D = DivisorClass(X6, (5, -2, -2, -2, -2, -2, -2))
     assert pickle.loads(pickle.dumps(D)) == D
-    for surface in ALL_SURFACES:
-        assert pickle.loads(pickle.dumps(surface)) == surface
 
 
 def test_post_init_runs_once_per_construction(monkeypatch):

@@ -12,13 +12,12 @@ from delpezzo import (
     InternalError,
     NotFound,
     PreconditionViolated,
+    SurfaceModel,
     UnsupportedSurface,
-    blow_up,
     degree,
     euler_characteristic,
     intersect,
     parse_divisor,
-    quadric,
 )
 from delpezzo import cli, wild
 from delpezzo.acm import enumerate_acm, is_acm_initialized
@@ -40,9 +39,9 @@ from paper_values import (
     intersection_upper_bound,
 )
 
-X0, X1, X2, X3, X4, X5, X6 = (blow_up(r) for r in range(7))
-Q = quadric()
-ALL_SURFACES = [blow_up(r) for r in range(7)] + [Q]
+X0, X1, X2, X3, X4, X5, X6 = (SurfaceModel(r) for r in range(7))
+Q = SurfaceModel(None)
+ALL_SURFACES = [SurfaceModel(r) for r in range(7)] + [Q]
 WILD_SURFACES = (X3, X4, X5, X6)
 
 
