@@ -21,7 +21,6 @@ schemas/acm-output.schema.json.
 
 import argparse
 import gc
-import json
 import re
 import sys
 from collections.abc import Iterator
@@ -180,25 +179,13 @@ def cmd_wild(args: argparse.Namespace) -> dict:
     surface = surface_from_name(args.surface)
     # family_plan rejects degree > 6 before its pair search, so a NotFound here is a bug (exit 4)
     plan = wild.family_plan(surface, args.rank)
-    pair = plan.pair
     return {
+        **plan._asdict(),
         "command": "wild",
         "surface": surface.name,
-        "rank": plan.rank,
-        "shape": plan.shape,
-        "m": plan.m,
-        "pair": {label: format_divisor(getattr(pair, label)) for label in pair._fields},
+        "pair": {label: format_divisor(D) for label, D in plan.pair._asdict().items()},
         "relations": dict(wild.RELATIONS),
-        "schedule": [
-            {
-                "sub": step.sub,
-                "quotient": format_divisor(step.quotient),
-                "ext1_dim": step.ext1_dim,
-                "repeat": step.repeat,
-            }
-            for step in plan.schedule
-        ],
-        "param_dim": plan.param_dim,
+        "schedule": [{**step._asdict(), "quotient": format_divisor(step.quotient)} for step in plan.schedule],
         "slope": surface.degree,
     }
 
@@ -256,67 +243,56 @@ def build_parser() -> argparse.ArgumentParser:
         description="Classify and enumerate initialized ACM line bundles on strong del Pezzo surfaces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_format(p: argparse.ArgumentParser) -> None:
+    surface, rank = ("surface", {}), ("--rank", {"type": _rank, "required": True})
+    surface_or_all = ("surface", {"help": "a surface name or 'all'"})
+    golden = ("--golden", {"default": "golden", "help": "directory of golden .tsv files"})
+    commands = (  # name, help, the arguments before --format, payload, text view
+        ("lines", "enumerate the (-1)-lines of a surface", [surface], cmd_lines, text_lines),
+        ("classify", "numerical report for a divisor class", [surface, ("divisor", {})], cmd_classify, text_classify),
+        ("table", "per-degree counts of ACM classes", [surface_or_all], cmd_table, text_table),
+        ("wild", "wild pair and rank-n family plan", [surface, rank], cmd_wild, text_wild),
+        ("verify", "regression-check enumeration against golden files", [golden], cmd_verify, text_verify),
+    )
+    for name, help_text, arguments, func, view in commands:
+        p = sub.add_parser(name, help=help_text)
+        for argument, keywords in arguments:
+            p.add_argument(argument, **keywords)
         p.add_argument("--format", choices=("text", "json"), default="text")
-
-    p_lines = sub.add_parser("lines", help="enumerate the (-1)-lines of a surface")
-    p_lines.add_argument("surface")
-    add_format(p_lines)
-    p_lines.set_defaults(func=cmd_lines, view=text_lines)
-
-    p_classify = sub.add_parser("classify", help="numerical report for a divisor class")
-    p_classify.add_argument("surface")
-    p_classify.add_argument("divisor")
-    add_format(p_classify)
-    p_classify.set_defaults(func=cmd_classify, view=text_classify)
-
-    p_table = sub.add_parser("table", help="per-degree counts of ACM classes")
-    p_table.add_argument("surface", help="a surface name or 'all'")
-    add_format(p_table)
-    p_table.set_defaults(func=cmd_table, view=text_table)
-
-    p_wild = sub.add_parser("wild", help="wild pair and rank-n family plan")
-    p_wild.add_argument("surface")
-    p_wild.add_argument("--rank", type=_rank, required=True)
-    add_format(p_wild)
-    p_wild.set_defaults(func=cmd_wild, view=text_wild)
-
-    p_verify = sub.add_parser("verify", help="regression-check enumeration against golden files")
-    p_verify.add_argument("--golden", default="golden", help="directory of golden .tsv files")
-    add_format(p_verify)
-    p_verify.set_defaults(func=cmd_verify, view=text_verify)
-
+        p.set_defaults(func=func, view=view)
     return parser
 
 
 def _divisor_behind_dashes(argv: list[str]) -> list[str]:
-    """Move classify divisor text that starts with '-' (``-l+e1``) behind ``--``.
+    """Move the classify positionals after the surface behind ``--``, in order.
 
-    argparse would read such text as an option.  Only ``-h`` and the long
-    options are options of ``classify``, so every other token after the
-    surface (the first bare token that is not the value of ``--format``)
-    starting with a single '-' is divisor text; putting it last keeps
-    ``--format`` working on either side of it.  Tokens before the surface
-    stay where they are, so ``classify -e1 X3`` is a usage error, as
-    ``classify l X3`` is.  ``-h`` is never moved: ``classify Q -h`` prints
-    the help, and ``classify Q -- -h`` classifies the class -h.
+    argparse would read divisor text that starts with '-' (``-l+e1``) as an
+    option.  Only ``-h`` and the long options are options of ``classify``, so
+    every other token after the surface (the first bare token that is not
+    the value of ``--format``) is a positional.  Moving them all keeps
+    ``--format`` working on either side of the divisor and keeps their order,
+    so a surplus token is the one named as unrecognized, whether or not the
+    divisor starts with '-'.  Tokens before the surface stay where they are,
+    so ``classify -e1 X3`` is a usage error, as ``classify l X3`` is.  ``-h``
+    is never moved: ``classify Q -h`` prints the help, and ``classify Q --
+    -h`` classifies the class -h.
     """
     if argv[:1] != ["classify"] or "--" in argv:
         return argv
     # the value of --format, or of an abbreviation argparse accepts (--f .. --forma), is not the surface
     values = {i + 1 for i, t in enumerate(argv) if len(t) > 2 and "--format".startswith(t)}
     surface = next((i for i, t in enumerate(argv) if i and not t.startswith("-") and i not in values), len(argv))
-    texts = [i for i, t in enumerate(argv) if i > surface and t.startswith("-") and not t.startswith("--") and t != "-h"]
-    if not texts:
+    moved = [i for i, t in enumerate(argv) if i > surface and i not in values and not t.startswith("--") and t != "-h"]
+    if not moved:
         return argv
-    return [t for i, t in enumerate(argv) if i not in texts] + ["--", *(argv[i] for i in texts)]
+    return [t for i, t in enumerate(argv) if i not in moved] + ["--", *(argv[i] for i in moved)]
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(_divisor_behind_dashes(sys.argv[1:] if argv is None else list(argv)))
         payload = args.func(args)
+        if args.format == "json":
+            import json  # here alone, so a text command never loads it
         # rendered whole before printing, so a failure while rendering prints nothing
         print(json.dumps(payload, indent=2, sort_keys=True) if args.format == "json" else "\n".join(args.view(payload)))
     except SystemExit as exc:  # argparse has printed the help (0) or a usage error (2)

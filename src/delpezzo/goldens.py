@@ -11,7 +11,6 @@ each record's representative.
 
 import itertools
 import os
-from pathlib import Path
 
 from .acm import (
     closed_form_catalog,
@@ -42,13 +41,11 @@ def golden_lines(surface: SurfaceModel) -> list[str]:
     return [f"{c}\t{format_coefficients(surface, v)}\t{n}" for _, c, n in records for v in itertools.islice(coeffs, n)]
 
 
-def write_golden_dir(directory: str | Path) -> None:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+def write_golden_dir(directory: str | os.PathLike) -> None:
+    os.makedirs(directory, exist_ok=True)
     for name in SURFACE_NAMES:
-        surface = surface_from_name(name)
-        path = directory / f"{name}.tsv"
-        path.write_text("\n".join(golden_lines(surface)) + "\n", encoding="utf-8")
+        with open(os.path.join(directory, f"{name}.tsv"), "w", encoding="utf-8") as file:
+            file.write("\n".join(golden_lines(surface_from_name(name))) + "\n")
 
 
 def _diff_golden(surface: SurfaceModel, recorded: list[str]) -> list[str]:
@@ -97,7 +94,7 @@ def _check_invariants(surface: SurfaceModel) -> list[str]:
     return failures
 
 
-def run_verification(golden_dir: str | Path) -> tuple[bool, list[str]]:
+def run_verification(golden_dir: str | os.PathLike) -> tuple[bool, list[str]]:
     """Diff every surface against its golden file and re-check invariants.
 
     Returns (ok, report lines).  Raises ValueError when ``golden_dir`` is not
@@ -106,15 +103,15 @@ def run_verification(golden_dir: str | Path) -> tuple[bool, list[str]]:
     if not os.path.isdir(golden_dir):
         problem = "is not a directory" if os.path.exists(golden_dir) else "does not exist"
         raise ValueError(f"golden directory {str(golden_dir)!r} {problem}")
-    missing = [name for name in SURFACE_NAMES if not Path(golden_dir, f"{name}.tsv").is_file()]
+    missing = [name for name in SURFACE_NAMES if not os.path.isfile(os.path.join(golden_dir, f"{name}.tsv"))]
     if missing:
         raise ValueError(f"missing golden files in {str(golden_dir)!r}: " + ", ".join(f"{m}.tsv" for m in missing))
-    golden_dir = Path(golden_dir)
     report = []
     ok = True
     for name in SURFACE_NAMES:
         surface = surface_from_name(name)
-        recorded = (golden_dir / f"{name}.tsv").read_text(encoding="utf-8").splitlines()
+        with open(os.path.join(golden_dir, f"{name}.tsv"), encoding="utf-8") as file:
+            recorded = file.read().splitlines()
         failures = _diff_golden(surface, recorded) + _check_invariants(surface)
         if failures:
             ok = False

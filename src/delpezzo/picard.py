@@ -134,7 +134,7 @@ class DivisorClass:
                 f"expected {self.surface.rank} coefficients on {self.surface}, "
                 f"got {len(self.coeffs)}"
             )
-        if not all(isinstance(c, int) for c in self.coeffs):
+        if not all(type(c) is int for c in self.coeffs):  # a bool is not a coefficient
             raise ValueError("divisor coefficients must be integers")
 
     def __eq__(self, other):

@@ -18,6 +18,7 @@ from delpezzo import (
     cli,
     format_divisor,
     geometry,
+    goldens,
     parse_divisor,
     surface_from_name,
     wild,
@@ -143,6 +144,18 @@ def test_classify_dash_led_text_is_divisor_text_only_after_the_surface(fmt, caps
     assert (code, out) == (2, "")
     assert "the following arguments are required: divisor" in err
     assert run(capsys, "classify", *fmt, "l", "X3")[:2] == (2, "")  # bare text before the surface fails too
+
+
+def test_classify_names_the_surplus_token_whatever_the_divisor_starts_with(capsys):
+    for argv, surplus in [
+        (("X3", "l", "extra"), "extra"),
+        (("X3", "-e1", "extra"), "extra"),
+        (("X3", "-x", "l"), "l"),
+        (("X3", "l", "-e2", "--format", "json"), "-e2"),
+    ]:
+        code, out, err = run(capsys, "classify", *argv)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: unrecognized arguments: {surplus}\n"), (argv, err)
 
 
 def test_classify_h_on_the_quadric_is_help_unless_behind_double_dash(capsys):
@@ -553,14 +566,12 @@ def test_verify_golden_path_that_is_a_file(tmp_path, capsys):
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_verify_unreadable_golden_file_is_an_io_error(fmt, capsys, monkeypatch):
-    read_text = Path.read_text
+    def denied(path, *args, **kwargs):
+        if os.path.basename(path) == "X3.tsv":
+            raise PermissionError(13, "Permission denied", path)
+        return open(path, *args, **kwargs)
 
-    def denied(self, *args, **kwargs):
-        if self.name == "X3.tsv":
-            raise PermissionError(13, "Permission denied", str(self))
-        return read_text(self, *args, **kwargs)
-
-    monkeypatch.setattr(Path, "read_text", denied)
+    monkeypatch.setattr(goldens, "open", denied, raising=False)  # the reader goldens calls, shadowing the builtin
     code, out, err = run(capsys, "verify", "--golden", GOLDEN_DIR, "--format", fmt)
     assert (code, out) == (2, "")
     assert err.startswith("acm: error: ") and err.count("\n") == 1
@@ -589,7 +600,7 @@ def test_cli_import_loads_no_dataclasses_or_typing():
     )
     assert result.returncode == 0, result.stderr
     assert "delpezzo.cli" in result.stdout.split()
-    assert {"__future__", "dataclasses", "inspect", "typing"}.isdisjoint(result.stdout.split())
+    assert {"__future__", "dataclasses", "inspect", "json", "pathlib", "typing"}.isdisjoint(result.stdout.split())
     # the engine runs on the standard library alone
     allowed = {"delpezzo", "__main__", *sys.stdlib_module_names}
     assert [name for name in result.stdout.split() if name.partition(".")[0] not in allowed] == []

@@ -389,6 +389,7 @@ def test_value_types_are_immutable():
         ((1, "0", 0, 0), "divisor coefficients must be integers"),
         ([1, 0], "expected 4 coefficients on X3, got 2"),
         ([1, 0.0, 0, 0], "divisor coefficients must be integers"),
+        ((True, False, False, False), "divisor coefficients must be integers"),
     ],
 )
 def test_divisor_class_validation_messages(coeffs, message):
