@@ -237,7 +237,13 @@ def _rank(text: str) -> int:
     return 10**cap if len(match[1]) > cap else int(text)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None) -> argparse.ArgumentParser:
+    """The ``acm`` parser, in which only ``command``'s subparser has arguments.
+
+    All five commands keep their subparser and help line, which ``acm --help`` and the "invalid choice"
+    error list.  argparse parses with the one subparser it dispatches to, and each ``add_argument`` builds a
+    help formatter and calls gettext, so the other four subparsers get no arguments.
+    """
     parser = argparse.ArgumentParser(
         prog="acm",
         description="Classify and enumerate initialized ACM line bundles on strong del Pezzo surfaces.",
@@ -255,6 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     for name, help_text, arguments, func, view in commands:
         p = sub.add_parser(name, help=help_text)
+        if name != command:
+            continue
         for argument, keywords in arguments:
             p.add_argument(argument, **keywords)
         p.add_argument("--format", choices=("text", "json"), default="text")
@@ -289,7 +297,12 @@ def _divisor_behind_dashes(argv: list[str]) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(_divisor_behind_dashes(sys.argv[1:] if argv is None else list(argv)))
+        argv = _divisor_behind_dashes(sys.argv[1:] if argv is None else list(argv))
+        # The top-level parser's one option, -h, takes no value, so the token argparse dispatches on is this
+        # one or an earlier one.  An earlier one starts with '-' ('-', a dash-led token after '--', or on older
+        # argparse '--' itself), and no command name does: an invalid choice, rejected before any subparser runs.
+        command = next((token for token in argv if not token.startswith("-")), None)
+        args = build_parser(command).parse_args(argv)
         payload = args.func(args)
         if args.format == "json":
             import json  # here alone, so a text command never loads it

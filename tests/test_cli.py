@@ -1,3 +1,4 @@
+import argparse
 import gc
 import json
 import os
@@ -210,6 +211,41 @@ def test_help_lists_every_command_and_option(argv, capsys):
     out = " ".join(out.split())
     missing = [text for text in HELP_TEXTS[argv] if text not in out]
     assert missing == [], out
+
+
+def test_build_parser_gives_arguments_to_its_command_alone():
+    parser = cli.build_parser("wild")
+    (sub,) = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    options = {name: [action.option_strings for action in p._actions] for name, p in sub.choices.items()}
+    assert options.pop("wild") == [["-h", "--help"], [], ["--rank"], ["--format"]]
+    assert options == {name: [["-h", "--help"]] for name in ("lines", "classify", "table", "verify")}
+
+
+def argparse_drops_a_leading_double_dash() -> bool:
+    """Newer argparse releases read ``acm -- lines`` as ``acm lines``; older ones take '--' as the command."""
+    parser = argparse.ArgumentParser(exit_on_error=False)
+    parser.add_subparsers(dest="command").add_parser("lines")
+    try:
+        return parser.parse_args(["--", "lines"]).command == "lines"
+    except argparse.ArgumentError:
+        return False
+
+
+@pytest.mark.parametrize(
+    "argv, same_as",
+    [(("--", "lines", "X6"), ("lines", "X6")), (("-h", "lines"), ("--help",)), (("-", "lines", "X6"), None)],
+    ids=lambda argv: " ".join(("acm",) + argv) if argv else "invalid choice",
+)
+def test_a_dash_led_token_before_the_command(argv, same_as, capsys):
+    """``main`` builds the arguments of the first token not led by '-'.  Where argparse reads its command
+    from an earlier token, that token starts with '-', which no command name does: an invalid choice."""
+    if argv[0] == "--" and not argparse_drops_a_leading_double_dash():
+        same_as = None
+    code, out, err = run(capsys, *argv)
+    if same_as is None:
+        assert (code, out) == (2, "") and f"invalid choice: '{argv[0]}'" in err
+    else:
+        assert (code, out, err) == run(capsys, *same_as)
 
 
 def test_classify_na_fields_in_text(capsys):
@@ -769,7 +805,7 @@ def test_text_view_renders_from_its_json_payload_alone(argv, capsys, monkeypatch
     dumped in its own key order: ``--format json`` sorts the keys, and the views list some in payload order."""
     code, text, _ = run(capsys, *argv)
     _, out, _ = run(capsys, *argv, "--format", "json")
-    args = cli.build_parser().parse_args(argv)
+    args = cli.build_parser(argv[0]).parse_args(argv)
     payload = json.loads(json.dumps(args.func(args)))
     assert (code, payload) == (0, json.loads(out))
 
