@@ -242,13 +242,16 @@ def build_parser(command: str | None) -> argparse.ArgumentParser:
 
     All five commands keep their subparser and help line, which ``acm --help`` and the "invalid choice"
     error list.  argparse parses with the one subparser it dispatches to, and each ``add_argument`` builds a
-    help formatter and calls gettext, so the other four subparsers get no arguments.
+    help formatter and calls gettext, so the other four subparsers carry only a name and a help line: no
+    arguments and no ``-h``.  ``prog`` is passed to ``add_subparsers`` so that it does not format the
+    top-level usage to derive the subparsers' prog prefix.
     """
     parser = argparse.ArgumentParser(
         prog="acm",
         description="Classify and enumerate initialized ACM line bundles on strong del Pezzo surfaces.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # no positional comes before the command, so the prog prefix argparse would format from the usage is 'acm'
+    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
     surface, rank = ("surface", {}), ("--rank", {"type": _rank, "required": True})
     surface_or_all = ("surface", {"help": "a surface name or 'all'"})
     golden = ("--golden", {"default": "golden", "help": "directory of golden .tsv files"})
@@ -260,7 +263,7 @@ def build_parser(command: str | None) -> argparse.ArgumentParser:
         ("verify", "regression-check enumeration against golden files", [golden], cmd_verify, text_verify),
     )
     for name, help_text, arguments, func, view in commands:
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, add_help=name == command)
         if name != command:
             continue
         for argument, keywords in arguments:

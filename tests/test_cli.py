@@ -195,11 +195,11 @@ HELP_TEXTS = {  # argv before --help -> what the help shows, as substrings with 
         "wild wild pair and rank-n family plan",
         "verify regression-check enumeration against golden files",
     ],
-    ("lines",): ["usage: acm lines", "--format {text,json}", "surface"],
-    ("classify",): ["usage: acm classify", "--format {text,json}", "surface divisor"],
-    ("table",): ["usage: acm table", "--format {text,json}", "surface a surface name or 'all'"],
-    ("wild",): ["usage: acm wild", "--format {text,json}", "--rank RANK", "surface"],
-    ("verify",): ["usage: acm verify", "--format {text,json}", "--golden GOLDEN directory of golden .tsv files"],
+    ("lines",): ["usage: acm lines [-h]", "--format {text,json}", "surface"],
+    ("classify",): ["usage: acm classify [-h]", "--format {text,json}", "surface divisor"],
+    ("table",): ["usage: acm table [-h]", "--format {text,json}", "surface a surface name or 'all'"],
+    ("wild",): ["usage: acm wild [-h]", "--format {text,json}", "--rank RANK", "surface"],
+    ("verify",): ["usage: acm verify [-h]", "--format {text,json}", "--golden GOLDEN directory of golden .tsv files"],
 }
 
 
@@ -216,9 +216,10 @@ def test_help_lists_every_command_and_option(argv, capsys):
 def test_build_parser_gives_arguments_to_its_command_alone():
     parser = cli.build_parser("wild")
     (sub,) = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    assert {name: p.prog for name, p in sub.choices.items()} == {name: f"acm {name}" for name in sub.choices}
     options = {name: [action.option_strings for action in p._actions] for name, p in sub.choices.items()}
     assert options.pop("wild") == [["-h", "--help"], [], ["--rank"], ["--format"]]
-    assert options == {name: [["-h", "--help"]] for name in ("lines", "classify", "table", "verify")}
+    assert options == {name: [] for name in ("lines", "classify", "table", "verify")}  # not even -h
 
 
 def argparse_drops_a_leading_double_dash() -> bool:
