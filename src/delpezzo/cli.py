@@ -1,4 +1,4 @@
-"""Command-line front end: lines, classify, table, wild, verify.
+"""Command-line front end: lines, classify, table, wild, verify, list.
 
 Each ``cmd_*`` function maps the parsed arguments to its JSON payload, the
 dict that ``--format json`` emits, and never prints.  Each ``text_*``
@@ -223,6 +223,21 @@ def text_verify(p: dict) -> Iterator[str]:
 
 
 # ---------------------------------------------------------------------------
+# list
+
+
+def cmd_list(args: argparse.Namespace) -> dict:
+    surface = surface_from_name(args.surface)
+    classes = [{"degree": c, "divisor": text, "orbit_count": n} for c, text, n in goldens.catalog_rows(surface)]
+    return {"command": "list", "surface": surface.name, "count": len(classes), "classes": classes}
+
+
+def text_list(p: dict) -> Iterator[str]:
+    for c in p["classes"]:  # the golden file's line
+        yield f"{c['degree']}\t{c['divisor']}\t{c['orbit_count']}"
+
+
+# ---------------------------------------------------------------------------
 # parser
 
 
@@ -240,9 +255,9 @@ def _rank(text: str) -> int:
 def build_parser(command: str | None) -> argparse.ArgumentParser:
     """The ``acm`` parser, in which only ``command``'s subparser has arguments.
 
-    All five commands keep their subparser and help line, which ``acm --help`` and the "invalid choice"
+    All six commands keep their subparser and help line, which ``acm --help`` and the "invalid choice"
     error list.  argparse parses with the one subparser it dispatches to, and each ``add_argument`` builds a
-    help formatter and calls gettext, so the other four subparsers carry only a name and a help line: no
+    help formatter and calls gettext, so the other five subparsers carry only a name and a help line: no
     arguments and no ``-h``.  ``prog`` is passed to ``add_subparsers`` so that it does not format the
     top-level usage to derive the subparsers' prog prefix.
     """
@@ -261,6 +276,7 @@ def build_parser(command: str | None) -> argparse.ArgumentParser:
         ("table", "per-degree counts of ACM classes", [surface_or_all], cmd_table, text_table),
         ("wild", "wild pair and rank-n family plan", [surface, rank], cmd_wild, text_wild),
         ("verify", "regression-check enumeration against golden files", [golden], cmd_verify, text_verify),
+        ("list", "every ACM class of a surface, with its orbit count", [surface], cmd_list, text_list),
     )
     for name, help_text, arguments, func, view in commands:
         p = sub.add_parser(name, help=help_text, add_help=name == command)

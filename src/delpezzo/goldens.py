@@ -1,8 +1,9 @@
-"""Golden-file regression format and the verification suite behind `acm verify`.
+"""The catalog rows behind `acm list`, the golden-file format, and the verification suite behind `acm verify`.
 
 One file per surface, named ``<surface>.tsv``, one line per enumerated class:
 ``degree<TAB>divisor-text<TAB>orbit-count`` in the catalog order of ``acm``,
-the count read off the scan's record of the class's S_r-orbit.
+the count read off the scan's record of the class's S_r-orbit.  The files
+are the text output of ``acm list <surface>``.
 Verification re-enumerates each surface and diffs it against the golden file,
 compares the scan's S_r-orbit records with the closed-form catalog record for
 record, and re-checks genus, degree, effectivity and the line products on
@@ -32,20 +33,18 @@ from .picard import (
 )
 
 
-def golden_lines(surface: SurfaceModel) -> list[str]:
-    """One line per class.  The orbit count, from the record the class was
-    expanded from, is the number of distinct permutations of the coefficients
-    after the first (1 on the quadric).  Formats coefficient tuples; builds no class."""
+def catalog_rows(surface: SurfaceModel) -> list[tuple[int, str, int]]:
+    """(degree, divisor text, orbit count) per class, in catalog order.  The orbit count, from the record
+    the class was expanded from, is the number of distinct permutations of the coefficients after the
+    first (1 on the quadric).  Formats coefficient tuples; builds no class."""
     records = [record for c in range(surface.degree + 1) for record in orbits_of_degree(surface, c)]
     coeffs = (v for c in range(surface.degree + 1) for v in coefficients_of_degree(surface, c))  # in record order
-    return [f"{c}\t{format_coefficients(surface, v)}\t{n}" for _, c, n in records for v in itertools.islice(coeffs, n)]
+    return [(c, format_coefficients(surface, v), n) for _, c, n in records for v in itertools.islice(coeffs, n)]
 
 
-def write_golden_dir(directory: str | os.PathLike) -> None:
-    os.makedirs(directory, exist_ok=True)
-    for name in SURFACE_NAMES:
-        with open(os.path.join(directory, f"{name}.tsv"), "w", encoding="utf-8") as file:
-            file.write("\n".join(golden_lines(surface_from_name(name))) + "\n")
+def golden_lines(surface: SurfaceModel) -> list[str]:
+    """One line per class, the golden file's and ``acm list``'s: ``degree<TAB>divisor<TAB>orbit-count``."""
+    return [f"{c}\t{text}\t{n}" for c, text, n in catalog_rows(surface)]
 
 
 def _diff_golden(surface: SurfaceModel, recorded: list[str]) -> list[str]:

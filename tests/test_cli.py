@@ -2,6 +2,7 @@ import argparse
 import gc
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -25,7 +26,6 @@ from delpezzo import (
     wild,
 )
 from delpezzo.cli import _classify_report, main
-from delpezzo.goldens import write_golden_dir
 
 from paper_values import has_smooth_nonline_member
 from test_geometry import positivity_box
@@ -188,18 +188,20 @@ def test_classify_help_still_prints(capsys):
 HELP_TEXTS = {  # argv before --help -> what the help shows, as substrings with runs of whitespace collapsed
     (): [
         "usage: acm",
-        "{lines,classify,table,wild,verify}",
+        "{lines,classify,table,wild,verify,list}",
         "lines enumerate the (-1)-lines of a surface",
         "classify numerical report for a divisor class",
         "table per-degree counts of ACM classes",
         "wild wild pair and rank-n family plan",
         "verify regression-check enumeration against golden files",
+        "list every ACM class of a surface, with its orbit count",
     ],
     ("lines",): ["usage: acm lines [-h]", "--format {text,json}", "surface"],
     ("classify",): ["usage: acm classify [-h]", "--format {text,json}", "surface divisor"],
     ("table",): ["usage: acm table [-h]", "--format {text,json}", "surface a surface name or 'all'"],
     ("wild",): ["usage: acm wild [-h]", "--format {text,json}", "--rank RANK", "surface"],
     ("verify",): ["usage: acm verify [-h]", "--format {text,json}", "--golden GOLDEN directory of golden .tsv files"],
+    ("list",): ["usage: acm list [-h]", "--format {text,json}", "surface"],
 }
 
 
@@ -219,7 +221,7 @@ def test_build_parser_gives_arguments_to_its_command_alone():
     assert {name: p.prog for name, p in sub.choices.items()} == {name: f"acm {name}" for name in sub.choices}
     options = {name: [action.option_strings for action in p._actions] for name, p in sub.choices.items()}
     assert options.pop("wild") == [["-h", "--help"], [], ["--rank"], ["--format"]]
-    assert options == {name: [] for name in ("lines", "classify", "table", "verify")}  # not even -h
+    assert options == {name: [] for name in ("lines", "classify", "table", "verify", "list")}  # not even -h
 
 
 def argparse_drops_a_leading_double_dash() -> bool:
@@ -571,7 +573,7 @@ def test_verify_pristine_goldens(capsys):
 
 
 def test_verify_perturbed_golden(tmp_path, capsys):
-    write_golden_dir(tmp_path)
+    shutil.copytree(GOLDEN_DIR, tmp_path, dirs_exist_ok=True)
     target = tmp_path / "X5.tsv"
     lines = target.read_text(encoding="utf-8").splitlines()
     bad = lines[10].split("\t")
@@ -674,6 +676,30 @@ def test_warm_calls_keep_no_per_request_memory(capsys):
     finally:
         tracemalloc.stop()
     assert grown < 64 * 1024, f"{grown} bytes kept over {30 * len(argvs)} calls"
+
+
+# --- list --------------------------------------------------------------------------
+
+LIST_CASES = [(name, name) for name in SURFACE_NAMES] + [("P2", "X0")]  # argv surface, golden file
+
+
+@pytest.mark.parametrize("name, golden", LIST_CASES)
+def test_list_prints_the_golden_file(name, golden, capsys):
+    expected = (Path(GOLDEN_DIR) / f"{golden}.tsv").read_bytes().decode("utf-8")
+    assert run(capsys, "list", name) == (0, expected, "")
+
+
+@pytest.mark.parametrize("name, golden", LIST_CASES)
+def test_list_payload_classifies_as_listed(name, golden, capsys):
+    """Each listed class is an initialized ACM class of its listed degree under ``acm classify``, and
+    ``count`` is the total of ``acm table``."""
+    code, payload = run_json(capsys, "list", name)
+    assert (code, payload["surface"]) == (0, golden)
+    assert payload["count"] == len(payload["classes"]) == run_json(capsys, "table", name)[1]["total"]
+    for row in payload["classes"]:
+        code, out, _ = run(capsys, "classify", name, row["divisor"], "--format", "json")
+        report = json.loads(out)["report"]
+        assert (code, report["acm_initialized"], report["degree"]) == (0, True, row["degree"]), row
 
 
 # --- text output, byte for byte ------------------------------------------------------
@@ -797,6 +823,7 @@ VIEW_ARGVS = [
     ("wild", "X6", "--rank", "7"),
     ("wild", "X3", "--rank", "2"),
     ("verify", "--golden", GOLDEN_DIR),
+    ("list", "X3"),
 ]
 
 

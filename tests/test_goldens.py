@@ -1,6 +1,7 @@
 import itertools
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +18,7 @@ from delpezzo import (
 )
 from delpezzo.acm import AcmRecord, closed_form_catalog, degree_count_table, enumerate_acm, orbits_of_degree
 from delpezzo.geometry import is_effective
-from delpezzo.goldens import _check_invariants, golden_lines, run_verification, write_golden_dir
+from delpezzo.goldens import _check_invariants, golden_lines, run_verification
 
 GOLDEN_DIR = Path(__file__).parent.parent / "golden"
 
@@ -70,17 +71,9 @@ def test_orbit_column_examples():
     assert counts["X3", "0"] == 1
 
 
-def test_write_golden_dir_reproduces_shipped_goldens(tmp_path):
-    write_golden_dir(tmp_path)
-    shipped = sorted(GOLDEN_DIR.iterdir())
-    assert sorted(path.name for path in tmp_path.iterdir()) == [path.name for path in shipped]
-    for path in shipped:
-        assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
-
-
 def test_a_golden_file_that_ends_early_or_late_fails(tmp_path):
     """The diff runs to the end of the longer of the file and the enumeration."""
-    write_golden_dir(tmp_path)
+    shutil.copytree(GOLDEN_DIR, tmp_path, dirs_exist_ok=True)
     target = tmp_path / "X3.tsv"
     lines = target.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 29 and lines[-1].startswith("6\t")
@@ -96,7 +89,7 @@ def test_a_golden_file_that_ends_early_or_late_fails(tmp_path):
 def test_run_verification_rejects_a_bad_golden_dir(tmp_path):
     nope, plain, partial = tmp_path / "nope", tmp_path / "golden.tsv", tmp_path / "partial"
     plain.write_text("", encoding="utf-8")
-    write_golden_dir(partial)
+    shutil.copytree(GOLDEN_DIR, partial)
     (partial / "X3.tsv").unlink()
     cases = [
         (nope, f"golden directory {str(nope)!r} does not exist"),
@@ -208,14 +201,16 @@ def test_orbit_count_sums_are_checked_against_the_degree_table(monkeypatch):
     ]
 
 
-def test_verify_and_regen_read_and_write_utf8_explicitly(tmp_path):
-    """Under -X warn_default_encoding, an open without an encoding is an error."""
+def test_verify_and_regen_read_and_write_utf8_explicitly():
+    """Under -X warn_default_encoding, an open without an encoding is an error.  ``acm list`` regenerates
+    a golden file."""
     root = Path(__file__).parent.parent
     strict = [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning"]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    for argv in (
-        ["-m", "delpezzo.cli", "verify", "--golden", str(GOLDEN_DIR)],
-        [str(root / "scripts" / "regen_goldens.py"), str(tmp_path)],
+    for argv, out in (
+        (["-m", "delpezzo.cli", "verify", "--golden", str(GOLDEN_DIR)], None),
+        (["-m", "delpezzo.cli", "list", "X6"], (GOLDEN_DIR / "X6.tsv").read_text(encoding="utf-8")),
     ):
         result = subprocess.run(strict + argv, env=env, capture_output=True, encoding="utf-8", timeout=60)
         assert (result.returncode, result.stderr) == (0, ""), argv
+        assert out is None or result.stdout == out
