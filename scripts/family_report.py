@@ -4,7 +4,7 @@
 import argparse
 
 from delpezzo import SurfaceModel, format_divisor, intersect
-from delpezzo.wild import family_plan, find_wild_pairs
+from delpezzo.wild import family_plan, wild_pairs
 
 
 def main() -> None:
@@ -13,7 +13,7 @@ def main() -> None:
     args = parser.parse_args()
     for r in (3, 4, 5, 6):
         surface = SurfaceModel(r)
-        hits = find_wild_pairs(surface)
+        hits = list(wild_pairs(surface))
         pair = hits[0]
         print(
             f"{surface.name} (degree {surface.degree}): {len(hits)} ordered pairs with "

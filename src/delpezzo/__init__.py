@@ -18,7 +18,6 @@ from .picard import (
     format_divisor,
     intersect,
     parse_divisor,
-    self_intersection,
     surface_from_name,
 )
 
@@ -38,6 +37,5 @@ __all__ = [
     "format_divisor",
     "intersect",
     "parse_divisor",
-    "self_intersection",
     "surface_from_name",
 ]

@@ -21,7 +21,6 @@ schemas/acm-output.schema.json.
 
 import argparse
 import gc
-import re
 import sys
 from collections.abc import Iterator
 
@@ -34,9 +33,9 @@ from .picard import (
     degree,
     euler_characteristic,
     format_divisor,
+    intersect,
     max_digits,
     parse_divisor,
-    self_intersection,
     surface_from_name,
 )
 
@@ -88,7 +87,7 @@ def _classify_report(D: DivisorClass) -> dict:
     P = geometry.moving_part(D)
     return {
         "degree": degree(D),
-        "self_intersection": self_intersection(D),
+        "self_intersection": intersect(D, D),
         "arithmetic_genus": arithmetic_genus(D),
         "euler_characteristic": euler_characteristic(D),
         "effective": P is not None,
@@ -245,11 +244,12 @@ def _rank(text: str) -> int:
     """A rank written as surrounding whitespace, then one optional sign directly followed by ASCII digits
     ``0-9``.  A rank of more than ``max_digits()`` digits reads as ``10**max_digits()``,
     which ``wild.family_plan`` rejects by that cap: ``int`` itself refuses a rank past the int-to-str limit."""
-    match = re.fullmatch(r"\s*[+-]?([0-9]+)\s*", text)
-    if match is None:
+    digits = text.strip()
+    digits = digits[1:] if digits[:1] in ("+", "-") else digits
+    if not (digits.isascii() and digits.isdigit()):
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
     cap = max_digits()
-    return 10**cap if len(match[1]) > cap else int(text)
+    return 10**cap if len(digits) > cap else int(text)
 
 
 def build_parser(command: str | None) -> argparse.ArgumentParser:
@@ -316,7 +316,12 @@ def _divisor_behind_dashes(argv: list[str]) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        argv = _divisor_behind_dashes(sys.argv[1:] if argv is None else list(argv))
+        argv = sys.argv[1:] if argv is None else list(argv)
+        # argparse 3.13.0 and older takes a leading '--' as the command, later releases drop it; dropped here
+        # first, 'acm -- lines X6' is 'acm lines X6' on every Python
+        if len(argv) > 1 and argv[0] == "--" and not argv[1].startswith("-"):
+            argv = argv[1:]
+        argv = _divisor_behind_dashes(argv)
         # The top-level parser's one option, -h, takes no value, so the token argparse dispatches on is this
         # one or an earlier one.  An earlier one starts with '-' ('-', a dash-led token after '--', or on older
         # argparse '--' itself), and no command name does: an invalid choice, rejected before any subparser runs.

@@ -196,13 +196,9 @@ def degree(D: DivisorClass) -> int:
     return sum(map(mul, D.coeffs, D.surface.degree_vector))
 
 
-def self_intersection(D: DivisorClass) -> int:
-    return intersect(D, D)
-
-
 def arithmetic_genus(D: DivisorClass) -> int:
     """p_a(D) = (D^2 - deg D)/2 + 1; an integer for every lattice class."""
-    twice = self_intersection(D) - degree(D)
+    twice = intersect(D, D) - degree(D)
     if twice % 2 != 0:
         raise InternalError(f"odd adjunction numerator for {D}")
     return twice // 2 + 1
@@ -210,7 +206,7 @@ def arithmetic_genus(D: DivisorClass) -> int:
 
 def euler_characteristic(D: DivisorClass) -> int:
     """Riemann-Roch value chi(D) = D.(D+H)/2 + 1."""
-    twice = self_intersection(D) + degree(D)
+    twice = intersect(D, D) + degree(D)
     if twice % 2 != 0:
         raise InternalError(f"odd Riemann-Roch numerator for {D}")
     return twice // 2 + 1

@@ -3,10 +3,11 @@
 On a surface of degree d <= 6 a pair of distinct maximal-degree ACM classes
 C, D with C.D = 1 + d seeds iterated extensions whose parameter spaces grow
 linearly in the rank, which is the numeric content of wild representation
-type.  Everything here is integer bookkeeping on divisor classes: the
-sheaves themselves are never constructed.  The Ext groups between line
-bundles are the cohomology of a difference, Ext^i(O(C), O(D)) =
-H^i(O(D - C)), read off ``geometry.cohomology``.
+type.  ``wild_pairs`` is the one search for such pairs, and ``family_plan``
+builds on the first.  Everything here is integer bookkeeping on divisor
+classes: the sheaves themselves are never constructed.  The Ext groups
+between line bundles are the cohomology of a difference,
+Ext^i(O(C), O(D)) = H^i(O(D - C)), read off ``geometry.cohomology``.
 """
 
 from collections import namedtuple
@@ -70,7 +71,7 @@ def _make_pair(C: DivisorClass, D: DivisorClass) -> WildPair:
     return pair
 
 
-def _wild_pairs(surface: SurfaceModel) -> Iterator[WildPair]:
+def wild_pairs(surface: SurfaceModel) -> Iterator[WildPair]:
     """Ordered pairs of distinct maximal-degree classes with C.D = 1 + d, C then D in the catalog order."""
     n = surface.degree
     maximal = coefficients_of_degree(surface, n)
@@ -80,14 +81,9 @@ def _wild_pairs(surface: SurfaceModel) -> Iterator[WildPair]:
                 yield _make_pair(DivisorClass(surface, u), DivisorClass(surface, v))
 
 
-def find_wild_pairs(surface: SurfaceModel) -> list[WildPair]:
-    """All ordered pairs of distinct maximal-degree classes with C.D = 1 + d."""
-    return list(_wild_pairs(surface))
-
-
 def find_wild_pair(surface: SurfaceModel) -> WildPair:
-    """First pair in the catalog order of C, then D; NotFound when the search is empty."""
-    pair = next(_wild_pairs(surface), None)
+    """The first of ``wild_pairs(surface)``; NotFound when the search is empty."""
+    pair = next(wild_pairs(surface), None)
     if pair is None:
         raise NotFound(
             f"no pair of maximal-degree ACM classes with C.D = {1 + surface.degree} on {surface}"
@@ -97,10 +93,6 @@ def find_wild_pair(surface: SurfaceModel) -> WildPair:
 
 # ---------------------------------------------------------------------------
 # family plans
-
-RANK2 = "rank2"
-ODD = "odd"
-EVEN = "even"
 
 
 class ExtensionStep(namedtuple("ExtensionStep", "sub quotient ext1_dim repeat", defaults=(1,))):
@@ -141,16 +133,16 @@ def family_plan(surface: SurfaceModel, n: int) -> FamilyPlan:
     ce, df, cd, ef, de, cf = RELATIONS.values()
     if n == 2:
         step = ExtensionStep(sub=f"O({E})", quotient=C, ext1_dim=ce)
-        return FamilyPlan(2, RANK2, None, ce - 1, (step,), pair)
+        return FamilyPlan(2, "rank2", None, ce - 1, (step,), pair)
     m = (n - 1) // 2
     rank2_step = ExtensionStep(sub=f"O({C})", quotient=D, ext1_dim=cd, repeat=m)
     blocks = " + ".join(f"E{i + 1}" for i in range(m)) if m <= 3 else f"E1 + ... + E{m}"
     odd_step = ExtensionStep(sub=blocks, quotient=E, ext1_dim=m * (ce + de))
     if n % 2 == 1:
-        return FamilyPlan(n, ODD, m, m * (ce + de - 1), (rank2_step, odd_step), pair)
+        return FamilyPlan(n, "odd", m, m * (ce + de - 1), (rank2_step, odd_step), pair)
     ext_f_total = m * (cf + df) + ef
     even_step = ExtensionStep(sub=f"H (rank {2 * m + 1})", quotient=F, ext1_dim=ext_f_total)
-    return FamilyPlan(n, EVEN, m, ext_f_total - 1, (rank2_step, odd_step, even_step), pair)
+    return FamilyPlan(n, "even", m, ext_f_total - 1, (rank2_step, odd_step, even_step), pair)
 
 
 # ---------------------------------------------------------------------------

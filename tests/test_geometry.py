@@ -18,7 +18,6 @@ from delpezzo import (
     euler_characteristic,
     intersect,
     parse_divisor,
-    self_intersection,
 )
 from delpezzo import geometry
 from delpezzo.acm import enumerate_acm
@@ -61,7 +60,7 @@ def test_line_invariants(surface):
     lines = enumerate_lines(surface)
     assert len({L.divisor for L in lines}) == len(lines)
     for L in lines:
-        assert self_intersection(L.divisor) == -1
+        assert intersect(L.divisor, L.divisor) == -1
         assert degree(L.divisor) == 1
         assert arithmetic_genus(L.divisor) == 0
 
@@ -142,7 +141,7 @@ def test_effectivity_lemma_consistency(r, data):
     a = data.draw(st.integers(0, 5))
     b = data.draw(st.tuples(*([st.integers(-1, 3)] * r)))
     D = DivisorClass(surface, (a, *(-x for x in b)))
-    if self_intersection(D) == degree(D) - 2 and degree(D) > 0:
+    if intersect(D, D) == degree(D) - 2 and degree(D) > 0:
         assert is_effective(D)
 
 
@@ -676,7 +675,7 @@ def test_each_twisted_cubic_is_the_line_class_of_its_frame(r):
     cubics = classes_of_degree(surface, 3)
     assert len(cubics) == CUBIC_COUNTS[r]
     for N in cubics:
-        assert (degree(N), self_intersection(N)) == (3, 1)
+        assert (degree(N), intersect(N, N)) == (3, 1)
         frame = [L for L in lines if intersect(L, N) == 0]
         assert len(frame) == r
         assert all(intersect(L, M) == 0 for L, M in itertools.combinations(frame, 2))

@@ -20,7 +20,6 @@ from delpezzo import (
     format_divisor,
     intersect,
     parse_divisor,
-    self_intersection,
     surface_from_name,
 )
 from delpezzo import picard
@@ -150,7 +149,7 @@ def test_genus_examples():
 def test_genus_adjunction_identity(surface, data):
     D = DivisorClass(surface, data.draw(vectors(surface)))
     K = surface.canonical
-    assert arithmetic_genus(D) == 1 + (self_intersection(D) + intersect(D, K)) / 2
+    assert arithmetic_genus(D) == 1 + (intersect(D, D) + intersect(D, K)) / 2
 
 
 @pytest.mark.parametrize("surface", ALL_SURFACES, ids=str)
@@ -171,7 +170,7 @@ def test_chi_of_h_on_cubic():
 @given(data=st.data())
 def test_chi_closed_form(surface, data):
     D = DivisorClass(surface, data.draw(vectors(surface)))
-    assert 2 * euler_characteristic(D) - 2 == self_intersection(D) + degree(D)
+    assert 2 * euler_characteristic(D) - 2 == intersect(D, D) + degree(D)
 
 
 # --- ruled coordinates on X1: the grammar's C0 and f against the closed form ----------
